@@ -3,8 +3,10 @@ carries."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 import platform
+import signal
 import time
 from typing import Dict, List
 
@@ -75,24 +77,70 @@ def cpu_seconds(pids: List[int]) -> float:
     return total / _CLK_TCK
 
 
-def wait_gone(pids: List[int], timeout: float) -> bool:
-    """Wait until none of ``pids`` is a live process; False on timeout."""
+#: ``prctl`` option that makes this process adopt orphaned descendants.
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def adopt_orphans() -> bool:
+    """Make this process the child subreaper of everything it starts.
+
+    A server's helpers (the multiprocessing resource tracker, cluster
+    workers) outlive it for a moment when it exits.  Orphaned, they would
+    go to the machine's init, which may leave them as zombies; adopted,
+    :func:`reap` and :func:`stop_children` wait for them here.
+    """
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        return libc.prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+    except (OSError, AttributeError):
+        return False
+
+
+def _reaped(pid: int) -> bool:
+    """Reap ``pid`` if it is an ended child of this process; True once it
+    is neither running nor waiting to be reaped here."""
+    try:
+        done, _ = os.waitpid(pid, os.WNOHANG)
+        return done == pid
+    except ChildProcessError:  # not ours: gone, or reaped by its parent
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            return True
+        return state in ("Z", "X")
+
+
+def reap(pids: List[int], timeout: float) -> bool:
+    """Wait until every one of ``pids`` has ended and, where it is (or has
+    become) a child of this process, reap it; False on timeout."""
     deadline = time.monotonic() + timeout
+    pending = list(pids)
     while True:
-        alive = []
-        for pid in pids:
-            try:
-                with open(f"/proc/{pid}/stat") as handle:
-                    state = handle.read().rsplit(")", 1)[1].split()[0]
-            except OSError:
-                continue
-            if state not in ("Z", "X"):
-                alive.append(pid)
-        if not alive:
+        pending = [pid for pid in pending if not _reaped(pid)]
+        if not pending:
             return True
         if time.monotonic() >= deadline:
             return False
-        time.sleep(0.05)
+        time.sleep(0.02)
+
+
+def stop_children(timeout: float = 10.0) -> bool:
+    """Kill every process this one still has as a child (zombies included)
+    and reap it; False if some are left after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        children = _children(os.getpid())
+        if not children:
+            return True
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        reap(children, max(0.0, deadline - time.monotonic()))
+        if time.monotonic() >= deadline:
+            return not _children(os.getpid())
 
 
 def host_facts() -> Dict[str, object]:

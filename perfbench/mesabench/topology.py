@@ -90,7 +90,7 @@ class CliServer:
             except OSError:
                 pass
         self.process.wait()
-        procfs.wait_gone(tree, timeout=10.0)
+        procfs.reap(tree, timeout=10.0)
         self.log.close()
 
 

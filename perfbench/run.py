@@ -52,6 +52,28 @@ def _fmt(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
+def _stop_own_processes() -> None:
+    """Stop everything the run started and reap it before the run ends:
+    a traced cluster's workers, this process's multiprocessing resource
+    tracker (closing its pipe lets it unlink what it tracks) and any
+    server helper adopted as an orphan."""
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    from mesabench import procfs
+
+    for child in multiprocessing.active_children():
+        child.terminate()
+        child.join(10)
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_fd", None) is not None:
+        os.close(tracker._fd)
+        tracker._fd = None
+        procfs.reap([tracker._pid], timeout=10.0)
+        tracker._pid = None
+    procfs.stop_children()
+
+
 def run_once(args) -> None:
     if not os.path.isdir(os.path.join(ROOT, "src", "repro")):
         _fail(f"no program source at {os.path.join(ROOT, 'src')}; run from "
@@ -65,11 +87,19 @@ def run_once(args) -> None:
     def overdue(_signum, _frame):
         raise TimeoutError(f"run exceeded {RUN_DEADLINE_S} s")
 
+    def terminated(signum, _frame):
+        sys.exit(128 + signum)
+
+    procfs.adopt_orphans()
     signal.signal(signal.SIGALRM, overdue)
+    signal.signal(signal.SIGTERM, terminated)
     signal.alarm(RUN_DEADLINE_S)
-    result = run(ROOT, args.workload, args.seed, args.seconds,
-                 bool(args.trace))
-    signal.alarm(0)
+    try:
+        result = run(ROOT, args.workload, args.seed, args.seconds,
+                     bool(args.trace))
+    finally:
+        signal.alarm(0)
+        _stop_own_processes()
     print(f"workload {args.workload}  seed {args.seed}  seconds "
           f"{args.seconds}  trace {args.trace}")
     result["host"] = procfs.host_facts()

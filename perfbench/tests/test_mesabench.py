@@ -101,6 +101,32 @@ def test_recorder_links_parents_and_requests():
     assert recorder.open("ignored", "a") is None
 
 
+# ---- process clean-up --------------------------------------------------- #
+ORPHAN_SCRIPT = """
+import os, subprocess, sys
+sys.path.insert(0, sys.argv[1])
+from mesabench import procfs
+assert procfs.adopt_orphans()
+# The shell exits at once and leaves its sleep behind, as a server leaves
+# its resource tracker: the sleep is adopted by this process.
+subprocess.run(["sh", "-c", "sleep 30 & exit 0"], check=True)
+assert procfs._children(os.getpid()), "orphan not adopted"
+assert procfs.stop_children(timeout=10.0)
+assert procfs._children(os.getpid()) == []
+print("clean")
+"""
+
+
+def test_orphans_are_adopted_and_reaped():
+    import subprocess
+
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    completed = subprocess.run([sys.executable, "-c", ORPHAN_SCRIPT, here],
+                               capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "clean"
+
+
 # ---- seeded inputs ------------------------------------------------------ #
 @pytest.fixture(scope="module")
 def bundle():
