@@ -1,12 +1,13 @@
-"""Performance benchmark: contingency-count kernel vs. the legacy estimators.
+"""Performance benchmark: the production estimation path vs. its oracles.
 
 Runs the candidate-heavy workload of the paper's Figure 4 regime (the SO
 dataset joined against a noise-heavy synthetic knowledge graph, so pruning
 and search score hundreds of candidates) through ``explain_many`` twice —
-once with ``use_fast_kernel=False`` (the legacy raw-row estimators) and
-once with the kernel — and writes a ``BENCH_perf.json`` before/after
-artifact with the wall-clock of both, per-stage breakdowns and the
-speedup.
+once on the row-wise reference estimators (``tests/oracles.py``,
+installed with :func:`oracles.install_reference_estimators`) and once on
+the contingency-count kernel — and writes a ``BENCH_perf.json``
+before/after artifact with the wall-clock of both, per-stage breakdowns
+and the speedup.
 
 A second phase verifies correctness: the full pipeline (selection-bias
 handling included) runs all seven registered explainers in both modes and
@@ -15,14 +16,15 @@ asserts the explanations are equal — same attributes, scores within 1e-9.
 A third phase benchmarks the **batched inference backend** on an IPW-heavy
 + permutation-heavy scenario (selection-bias handling on, a large
 responsibility-test permutation budget, query groups sharing contexts —
-the serving shape): the pre-PR path (``use_blocked_permutations=False``,
-``use_ipw_fit_cache=False``) against the blocked-permutation + fit-cache
-path, with all seven explainers verified equal between the modes
-(early exit off).  Phase-level timings (``ipw_fit_s``,
-``permutation_s``) are recorded per mode so future PRs can gate per
-phase; the combined phase wall-clock gates at ``--min-ipw-speedup``
-(default 2x), and an informational early-exit run reports the permutation
-savings.
+the serving shape): the pre-optimisation inference path (one
+``contingency_cmi`` per permutation and one selection model per
+attribute, :func:`oracles.install_pre_blocked_inference`) against the
+blocked-permutation + fit-cache path, with all seven explainers verified
+equal between the modes (early exit off).  Phase-level timings
+(``ipw_fit_s``, ``permutation_s``) are recorded per mode so future
+changes can gate per phase; the combined phase wall-clock gates at
+``--min-ipw-speedup`` (default 2x), and an informational early-exit run
+reports the permutation savings.
 
 A fourth phase benchmarks the **adaptive inference scheduler** on the same
 IPW+permutation bundle at matched worst-case budget: a fixed
@@ -42,7 +44,8 @@ adaptive stack against the fixed run is recorded informationally.
 Run with:  PYTHONPATH=src python benchmarks/bench_perf.py [--out BENCH_perf.json]
 
 The script exits non-zero when a speedup falls below its gate or when any
-explainer diverges between modes, so CI can gate on it.
+explainer diverges between modes, so CI can gate on it.  It needs pytest
+installed (the oracles are wired in with ``pytest.MonkeyPatch``).
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
 
 from repro import __version__
 from repro.datasets.registry import load_dataset
@@ -60,6 +67,9 @@ from repro.kg.synthetic import SyntheticKGConfig, build_world_knowledge_graph
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.expressions import TRUE, Eq
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import oracles  # noqa: E402  (lives in tests/, next to the tests using it)
 
 #: Candidate-heavy regime: many noise properties -> hundreds of candidates.
 PERF_KG_CONFIG = SyntheticKGConfig(seed=7, n_noise_properties=40)
@@ -103,7 +113,16 @@ def _pipeline(bundle, **overrides) -> ExplanationPipeline:
                                bundle.extraction_specs, config=config)
 
 
-def time_explain_many(bundle, queries, use_fast_kernel: bool, repeats: int = 2) -> dict:
+@contextmanager
+def oracle_installed(install):
+    """Run the enclosed block with an ``oracles.install_*`` wiring (None: none)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if install is not None:
+            install(patch)
+        yield
+
+
+def time_explain_many(bundle, queries, oracle=None, repeats: int = 2) -> dict:
     """Best-of-``repeats`` wall-clock of the Fig. 4 workload in one mode.
 
     Selection-bias handling is off, as in the paper's Figure 4 protocol:
@@ -112,11 +131,11 @@ def time_explain_many(bundle, queries, use_fast_kernel: bool, repeats: int = 2) 
     """
     best = None
     for _ in range(repeats):
-        pipeline = _pipeline(bundle, use_fast_kernel=use_fast_kernel,
-                             handle_selection_bias=False)
-        start = time.perf_counter()
-        results = pipeline.explain_many(queries, k=K)
-        seconds = time.perf_counter() - start
+        with oracle_installed(oracle):
+            pipeline = _pipeline(bundle, handle_selection_bias=False)
+            start = time.perf_counter()
+            results = pipeline.explain_many(queries, k=K)
+            seconds = time.perf_counter() - start
         sample = {
             "seconds": seconds,
             "stage_seconds": {name: round(value, 6)
@@ -131,32 +150,50 @@ def time_explain_many(bundle, queries, use_fast_kernel: bool, repeats: int = 2) 
     return best
 
 
-def verify_explainers(bundle, queries) -> list:
-    """Run every registered explainer in both modes on the full pipeline."""
-    legacy = _pipeline(bundle, use_fast_kernel=False)
-    fast = _pipeline(bundle, use_fast_kernel=True)
+def _explain_all(bundle, queries, config: MESAConfig, oracle=None) -> list:
+    """Every registered explainer on every query (method-major order)."""
+    with oracle_installed(oracle):
+        pipeline = ExplanationPipeline(bundle.table, bundle.knowledge_graph,
+                                       bundle.extraction_specs, config=config)
+        return [pipeline.run_explainer(get_explainer(method), query, k=K)
+                for method in available_explainers() for query in queries]
+
+
+def compare_explainers(bundle, queries, before_config: MESAConfig,
+                       after_config: MESAConfig, before_oracle=None,
+                       exact: bool = False) -> list:
+    """All seven explainers, ``before`` mode vs ``after`` mode, row per run.
+
+    Responsibilities are the permutation backend's direct output, so they
+    must match too.  ``exact`` demands bit-identical scores instead of
+    agreement within ``SCORE_TOLERANCE``.
+    """
+    def within(delta: float) -> bool:
+        return delta == 0.0 if exact else delta < SCORE_TOLERANCE
+
+    runs = [(method, query) for method in available_explainers()
+            for query in queries]
+    before_runs = _explain_all(bundle, queries, before_config, before_oracle)
+    after_runs = _explain_all(bundle, queries, after_config)
     rows = []
-    for method in available_explainers():
-        for query in queries:
-            before = legacy.run_explainer(get_explainer(method), query, k=K)
-            after = fast.run_explainer(get_explainer(method), query, k=K)
-            equal_attributes = before.attributes == after.attributes
-            score_delta = abs(before.explainability - after.explainability)
-            responsibility_delta = max(
-                (abs(before.responsibilities[name] - after.responsibilities[name])
-                 for name in before.responsibilities), default=0.0,
-            ) if set(before.responsibilities) == set(after.responsibilities) else float("inf")
-            rows.append({
-                "method": method,
-                "query": query.label(),
-                "attributes": list(after.attributes),
-                "equal_attributes": equal_attributes,
-                "score_delta": score_delta,
-                "responsibility_delta": responsibility_delta,
-                "equivalent": (equal_attributes
-                               and score_delta < SCORE_TOLERANCE
-                               and responsibility_delta < SCORE_TOLERANCE),
-            })
+    for (method, query), before, after in zip(runs, before_runs, after_runs):
+        equal_attributes = before.attributes == after.attributes
+        score_delta = abs(before.explainability - after.explainability)
+        responsibility_delta = max(
+            (abs(before.responsibilities[name] - after.responsibilities[name])
+             for name in before.responsibilities), default=0.0,
+        ) if set(before.responsibilities) == set(after.responsibilities) \
+            else float("inf")
+        rows.append({
+            "method": method,
+            "query": query.label(),
+            "attributes": list(after.attributes),
+            "equal_attributes": equal_attributes,
+            "score_delta": score_delta,
+            "responsibility_delta": responsibility_delta,
+            "equivalent": (equal_attributes and within(score_delta)
+                           and within(responsibility_delta)),
+        })
     return rows
 
 
@@ -168,16 +205,18 @@ def _ipw_perm_config(bundle, **overrides) -> MESAConfig:
     return MESAConfig(**settings)
 
 
-def time_ipw_perm(bundle, queries, repeats: int = 2, **overrides) -> dict:
+def time_ipw_perm(bundle, queries, repeats: int = 2, oracle=None,
+                  **overrides) -> dict:
     """Best-of-``repeats`` wall-clock of the IPW+permutation scenario."""
     best = None
     for _ in range(repeats):
-        pipeline = ExplanationPipeline(
-            bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
-            config=_ipw_perm_config(bundle, **overrides))
-        start = time.perf_counter()
-        results = pipeline.explain_many(queries, k=K)
-        seconds = time.perf_counter() - start
+        with oracle_installed(oracle):
+            pipeline = ExplanationPipeline(
+                bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
+                config=_ipw_perm_config(bundle, **overrides))
+            start = time.perf_counter()
+            results = pipeline.explain_many(queries, k=K)
+            seconds = time.perf_counter() - start
         stage_seconds = pipeline.context.stage_seconds
         counters = pipeline.context.counters
         sample = {
@@ -198,43 +237,6 @@ def time_ipw_perm(bundle, queries, repeats: int = 2, **overrides) -> dict:
     return best
 
 
-def verify_explainers_backend(bundle, queries) -> list:
-    """All seven explainers: pre-PR inference path vs. the batched backend."""
-    before_pipeline = ExplanationPipeline(
-        bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
-        config=_ipw_perm_config(bundle, use_blocked_permutations=False,
-                                use_ipw_fit_cache=False))
-    after_pipeline = ExplanationPipeline(
-        bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
-        config=_ipw_perm_config(bundle))
-    rows = []
-    for method in available_explainers():
-        for query in queries:
-            before = before_pipeline.run_explainer(get_explainer(method), query, k=K)
-            after = after_pipeline.run_explainer(get_explainer(method), query, k=K)
-            equal_attributes = before.attributes == after.attributes
-            score_delta = abs(before.explainability - after.explainability)
-            # Responsibilities are the permutation backend's direct output,
-            # so they must match too — same check as the kernel phase.
-            responsibility_delta = max(
-                (abs(before.responsibilities[name] - after.responsibilities[name])
-                 for name in before.responsibilities), default=0.0,
-            ) if set(before.responsibilities) == set(after.responsibilities) \
-                else float("inf")
-            rows.append({
-                "method": method,
-                "query": query.label(),
-                "attributes": list(after.attributes),
-                "equal_attributes": equal_attributes,
-                "score_delta": score_delta,
-                "responsibility_delta": responsibility_delta,
-                "equivalent": (equal_attributes
-                               and score_delta < SCORE_TOLERANCE
-                               and responsibility_delta < SCORE_TOLERANCE),
-            })
-    return rows
-
-
 def _ipw_perm_bundle():
     graph = build_world_knowledge_graph(IPW_PERM_KG_CONFIG)
     return load_dataset(DATASET, seed=11, n_rows=IPW_PERM_N_ROWS,
@@ -248,8 +250,7 @@ def run_ipw_perm_bench(repeats: int = 2, bundle=None) -> dict:
     queries = ipw_perm_queries()
 
     before = time_ipw_perm(bundle, queries, repeats=repeats,
-                           use_blocked_permutations=False,
-                           use_ipw_fit_cache=False)
+                           oracle=oracles.install_pre_blocked_inference)
     after = time_ipw_perm(bundle, queries, repeats=repeats)
     early_exit = time_ipw_perm(bundle, queries, repeats=1,
                                permutation_early_exit=True)
@@ -262,7 +263,9 @@ def run_ipw_perm_bench(repeats: int = 2, bundle=None) -> dict:
         b["attributes"] == a["attributes"]
         for b, a in zip(before["results"], early_exit["results"])
     )
-    explainer_rows = verify_explainers_backend(bundle, queries[:1])
+    explainer_rows = compare_explainers(
+        bundle, queries[:1], _ipw_perm_config(bundle), _ipw_perm_config(bundle),
+        before_oracle=oracles.install_pre_blocked_inference)
     phase_before = before["ipw_fit_s"] + before["permutation_s"]
     phase_after = after["ipw_fit_s"] + after["permutation_s"]
     return {
@@ -271,10 +274,8 @@ def run_ipw_perm_bench(repeats: int = 2, bundle=None) -> dict:
                     "context-sharing query groups)",
         "n_rows": bundle.table.n_rows,
         "n_queries": len(queries),
-        "before": {"use_blocked_permutations": False,
-                   "use_ipw_fit_cache": False, **before},
-        "after": {"use_blocked_permutations": True,
-                  "use_ipw_fit_cache": True, **after},
+        "before": {"oracle": "install_pre_blocked_inference", **before},
+        "after": {"oracle": None, **after},
         "early_exit": {"permutation_early_exit": True,
                        "same_attributes": early_exit_same_attributes,
                        **early_exit},
@@ -286,46 +287,6 @@ def run_ipw_perm_bench(repeats: int = 2, bundle=None) -> dict:
         "explainers": explainer_rows,
         "all_explainers_equivalent": all(row["equivalent"] for row in explainer_rows),
     }
-
-
-def verify_explainers_speculative(bundle, queries) -> list:
-    """All seven explainers: sequential vs. speculative pipelined search.
-
-    Speculation only overlaps wall-clock (disjoint memo caches), so the
-    explanations must be *bit-identical*, not merely equivalent.
-    """
-    sequential_pipeline = ExplanationPipeline(
-        bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
-        config=_ipw_perm_config(bundle))
-    speculative_pipeline = ExplanationPipeline(
-        bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
-        config=_ipw_perm_config(bundle, speculative_search=True))
-    rows = []
-    for method in available_explainers():
-        for query in queries:
-            before = sequential_pipeline.run_explainer(
-                get_explainer(method), query, k=K)
-            after = speculative_pipeline.run_explainer(
-                get_explainer(method), query, k=K)
-            equal_attributes = before.attributes == after.attributes
-            score_delta = abs(before.explainability - after.explainability)
-            responsibility_delta = max(
-                (abs(before.responsibilities[name] - after.responsibilities[name])
-                 for name in before.responsibilities), default=0.0,
-            ) if set(before.responsibilities) == set(after.responsibilities) \
-                else float("inf")
-            rows.append({
-                "method": method,
-                "query": query.label(),
-                "attributes": list(after.attributes),
-                "equal_attributes": equal_attributes,
-                "score_delta": score_delta,
-                "responsibility_delta": responsibility_delta,
-                "equivalent": (equal_attributes
-                               and score_delta == 0.0
-                               and responsibility_delta == 0.0),
-            })
-    return rows
 
 
 def run_adaptive_bench(repeats: int = 2, bundle=None) -> dict:
@@ -362,7 +323,11 @@ def run_adaptive_bench(repeats: int = 2, bundle=None) -> dict:
         b["attributes"] == a["attributes"]
         for b, a in zip(fixed["results"], adaptive["results"])
     )
-    explainer_rows = verify_explainers_speculative(bundle, queries[:1])
+    # Speculation only overlaps wall-clock (disjoint memo caches), so the
+    # explanations must be *bit-identical*, not merely equivalent.
+    explainer_rows = compare_explainers(
+        bundle, queries[:1], _ipw_perm_config(bundle),
+        _ipw_perm_config(bundle, speculative_search=True), exact=True)
     return {
         "workload": "adaptive scheduler on the ipw+permutation workload at "
                     f"matched worst-case budget (fixed "
@@ -393,15 +358,20 @@ def run_bench(repeats: int = 2) -> dict:
     bundle = load_dataset(DATASET, seed=7, n_rows=N_ROWS, knowledge_graph=graph)
     queries = [entry.query for entry in bundle.queries]
 
-    before = time_explain_many(bundle, queries, use_fast_kernel=False, repeats=repeats)
-    after = time_explain_many(bundle, queries, use_fast_kernel=True, repeats=repeats)
+    before = time_explain_many(bundle, queries,
+                               oracle=oracles.install_reference_estimators,
+                               repeats=repeats)
+    after = time_explain_many(bundle, queries, repeats=repeats)
     same_results = all(
         b["attributes"] == a["attributes"]
         and abs(b["explainability"] - a["explainability"]) < SCORE_TOLERANCE
         for b, a in zip(before["results"], after["results"])
     )
 
-    explainer_rows = verify_explainers(bundle, queries[:1])
+    config = MESAConfig(excluded_columns=bundle.id_columns, k=K)
+    explainer_rows = compare_explainers(
+        bundle, queries[:1], config, config,
+        before_oracle=oracles.install_reference_estimators)
     return {
         "version": __version__,
         "python": platform.python_version(),
@@ -411,8 +381,8 @@ def run_bench(repeats: int = 2) -> dict:
         "k": K,
         "workload": "fig4-candidate-heavy (explain_many, single process, "
                     "selection-bias handling off as in the Fig. 4 protocol)",
-        "before": {"use_fast_kernel": False, **before},
-        "after": {"use_fast_kernel": True, **after},
+        "before": {"oracle": "install_reference_estimators", **before},
+        "after": {"oracle": None, **after},
         "speedup": before["seconds"] / after["seconds"],
         "explain_many_equivalent": same_results,
         "explainers": explainer_rows,

@@ -78,10 +78,10 @@ def main() -> None:
     # 6. The batched inference backend: permutation tests run blocked (one
     #    shared bincount per block, bit-identical p-values) and IPW selection
     #    fits are cached by missingness mask + design and solved multi-label.
-    #    Both are on by default; `permutation_early_exit` additionally stops
-    #    a permutation run the moment its verdict is determined (verdicts
-    #    preserved, p-value resolution traded for speed).  The backend
-    #    counters land next to the cache counters.
+    #    `permutation_early_exit` additionally stops a permutation run the
+    #    moment its verdict is determined (verdicts preserved, p-value
+    #    resolution traded for speed).  The backend counters land next to
+    #    the cache counters.
     fast = ExplanationPipeline(
         bundle.table, bundle.knowledge_graph, bundle.extraction_specs,
         config=pipeline.config.with_overrides(permutation_early_exit=True))

@@ -23,12 +23,8 @@ import numpy as np
 from repro.exceptions import ExplanationError
 from repro.infotheory import kernel
 from repro.infotheory.encoding import EncodedFrame
-from repro.infotheory.entropy import conditional_entropy, entropy
-from repro.infotheory.independence import IndependenceResult, conditional_independence_test
-from repro.infotheory.mutual_information import (
-    conditional_mutual_information,
-    mutual_information,
-)
+from repro.infotheory.independence import IndependenceResult
+from repro.infotheory.permutation import PermutationBudget
 from repro.obs import trace
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.discretize import DEFAULT_BINS
@@ -57,12 +53,6 @@ class CorrelationExplanationProblem:
     n_bins:
         Number of bins used when numeric attributes are discretised for the
         information-theoretic estimates.
-    use_kernel:
-        Route the oracle through the fast contingency-count kernel
-        (:mod:`repro.infotheory.kernel`): one ``bincount`` per CMI term and
-        incremental joint coding of conditioning sets.  Disable to fall
-        back to the reference estimators (same values, slower) — the
-        performance benchmark compares both paths.
     frame:
         An existing :class:`EncodedFrame` over the *context-restricted*
         table to adopt instead of encoding from scratch.  The engine passes
@@ -82,22 +72,14 @@ class CorrelationExplanationProblem:
         given, the constructor skips re-applying the query context (the
         caller — the pipeline's frame cache — already filtered the rows).
         Must be passed together with ``frame``.
-    use_blocked_permutations:
-        Run the kernel path's permutation tests on the blocked engine
-        (:mod:`repro.infotheory.permutation`) — bit-identical p-values,
-        one shared ``bincount`` per permutation block.  Disable to
-        reproduce the per-permutation loop (the performance benchmark
-        compares both).
-    permutation_early_exit:
-        Allow the sequential early-exit decision to stop permutation runs
-        once the verdict is determined (verdicts preserved, permutation
-        counts — and hence exact p-values — may differ from a full run).
     permutation_budget:
-        Optional :class:`~repro.infotheory.permutation.PermutationBudget`
-        policy for every permutation test this problem runs.  When given
-        it wins over ``permutation_early_exit`` wholesale; an adaptive
-        policy (``max_permutations`` set) extends statistically uncertain
-        tests geometrically while clear-cut tests exit early, and
+        The :class:`~repro.infotheory.permutation.PermutationBudget`
+        policy of every permutation test this problem runs (default: a
+        fixed budget, no early exit, the legacy RNG stream).
+        ``early_exit`` lets the sequential decision stop a run
+        once the verdict is determined; an adaptive policy
+        (``max_permutations`` set) extends statistically uncertain tests
+        geometrically while clear-cut tests exit early, and
         ``rng_stream="argsort"`` selects the vectorised sampling stream.
     counter_hook:
         Optional ``(name, increment)`` callable observing backend counters
@@ -117,12 +99,10 @@ class CorrelationExplanationProblem:
 
     def __init__(self, table: Table, query: AggregateQuery, candidates: Sequence[str],
                  attribute_weights: Optional[Dict[str, np.ndarray]] = None,
-                 n_bins: int = DEFAULT_BINS, use_kernel: bool = True,
+                 n_bins: int = DEFAULT_BINS,
                  frame: Optional[EncodedFrame] = None,
                  context_table: Optional[Table] = None,
-                 use_blocked_permutations: bool = True,
-                 permutation_early_exit: bool = False,
-                 permutation_budget=None,
+                 permutation_budget: PermutationBudget = PermutationBudget(),
                  counter_hook=None, seconds_hook=None):
         query.validate_against(table)
         if context_table is not None and frame is None:
@@ -166,9 +146,6 @@ class CorrelationExplanationProblem:
                     f"IPW weights for {attribute!r} have length {len(weights)}, "
                     f"expected {self.context_table.n_rows} (context rows)"
                 )
-        self.use_kernel = use_kernel
-        self.use_blocked_permutations = use_blocked_permutations
-        self.permutation_early_exit = permutation_early_exit
         self.permutation_budget = permutation_budget
         self.counter_hook = counter_hook
         self.seconds_hook = seconds_hook
@@ -226,7 +203,7 @@ class CorrelationExplanationProblem:
         return combined
 
     # ------------------------------------------------------------------ #
-    # incremental joint coding (fast kernel)
+    # incremental joint coding
     # ------------------------------------------------------------------ #
     def _conditioning_codes(self, attribute: str, plain: bool) -> np.ndarray:
         if plain:
@@ -300,24 +277,13 @@ class CorrelationExplanationProblem:
         """
         key = tuple(sorted(conditioning))
         if key not in self._cmi_cache:
-            if self.use_kernel:
-                fused, card = self._joint_for(key)
-                value = kernel.contingency_cmi(
-                    self.frame.codes(self.outcome),
-                    self.frame.codes(self.exposure),
-                    fused, n_z=card,
-                    weights=self._weights_for(key),
-                )
-            else:
-                codes = [self.frame.codes(attribute, missing_as_category=True)
-                         for attribute in key]
-                value = conditional_mutual_information(
-                    self.frame.codes(self.outcome),
-                    self.frame.codes(self.exposure),
-                    codes,
-                    weights=self._weights_for(key),
-                )
-            self._cmi_cache[key] = value
+            fused, card = self._joint_for(key)
+            self._cmi_cache[key] = kernel.contingency_cmi(
+                self.frame.codes(self.outcome),
+                self.frame.codes(self.exposure),
+                fused, n_z=card,
+                weights=self._weights_for(key),
+            )
         return self._cmi_cache[key]
 
     def score_candidates(self, attributes: Sequence[str],
@@ -334,11 +300,6 @@ class CorrelationExplanationProblem:
         given = tuple(given)
         given_set = set(given)
         scores: Dict[str, float] = {}
-        if not self.use_kernel:
-            for attribute in attributes:
-                extended = given if attribute in given_set else given + (attribute,)
-                scores[attribute] = self.cmi(extended)
-            return scores
         base, base_card = self._joint_for(tuple(sorted(given)))
         x = self.frame.codes(self.outcome)
         y = self.frame.codes(self.exposure)
@@ -374,13 +335,11 @@ class CorrelationExplanationProblem:
         """``I(A; B)`` between two candidate attributes (memoised, weighted)."""
         key = (a, b) if a <= b else (b, a)
         if key not in self._mi_cache:
-            estimator = kernel.contingency_mi if self.use_kernel else mutual_information
-            value = estimator(
+            self._mi_cache[key] = kernel.contingency_mi(
                 self.frame.codes(a, missing_as_category=True),
                 self.frame.codes(b, missing_as_category=True),
                 weights=self._weights_for([a, b]),
             )
-            self._mi_cache[key] = value
         return self._mi_cache[key]
 
     def attribute_relevance(self, attribute: str) -> float:
@@ -395,24 +354,18 @@ class CorrelationExplanationProblem:
         """
         cached = self._entropy_cache.get(attribute)
         if cached is None:
-            if self.use_kernel:
-                cached = kernel.contingency_entropy(self.frame.codes(attribute))
-            else:
-                cached = entropy(self.frame.codes(attribute))
+            cached = kernel.contingency_entropy(self.frame.codes(attribute))
             self._entropy_cache[attribute] = cached
         return cached
 
     def conditional_entropy_of(self, target: str, given: Sequence[str]) -> float:
         """``H(target | given)`` within the context."""
-        if self.use_kernel:
-            fused, card = self._joint_for(tuple(sorted(given)), plain=True)
-            if not given:
-                fused = None
-                card = None
-            return kernel.contingency_conditional_entropy(
-                self.frame.codes(target), fused, n_given=card)
-        return conditional_entropy(self.frame.codes(target),
-                                   [self.frame.codes(g) for g in given])
+        fused, card = self._joint_for(tuple(sorted(given)), plain=True)
+        if not given:
+            fused = None
+            card = None
+        return kernel.contingency_conditional_entropy(
+            self.frame.codes(target), fused, n_given=card)
 
     # ------------------------------------------------------------------ #
     # independence testing
@@ -421,13 +374,12 @@ class CorrelationExplanationProblem:
                           **kwargs) -> IndependenceResult:
         """Conditional-independence test between two columns given others.
 
-        On the kernel path the conditioning set is fused once (cached) and
-        the permutation phase runs on the blocked engine
-        (``use_blocked_permutations``); verdicts, p-values and RNG
-        consumption are identical to the reference implementation.  With
-        ``permutation_early_exit`` the sequential decision may stop a run
-        early (verdict preserved); elapsed wall-clock is reported to
-        ``seconds_hook`` under ``permutation_test``.
+        The conditioning set is fused once (cached) and the permutation
+        phase runs on the blocked engine under ``permutation_budget``;
+        with the default budget, verdicts, p-values and RNG consumption
+        are identical to the row-wise reference test.  Elapsed
+        wall-clock is reported to ``seconds_hook`` under
+        ``permutation_test``.
         """
         weights = self._weights_for([a, b, *conditioning])
         start = time.perf_counter() if self.seconds_hook is not None else 0.0
@@ -443,27 +395,15 @@ class CorrelationExplanationProblem:
 
     def _independence_test(self, a: str, b: str, conditioning: Sequence[str],
                            weights, **kwargs) -> IndependenceResult:
-        if self.use_kernel:
-            # Fuse in *caller* order: the permutation strata then sort the
-            # same way the reference ``joint_codes`` labels do, so the RNG
-            # is consumed stratum-for-stratum identically.
-            fused, card = self._joint_for(tuple(conditioning), plain=True)
-            if not conditioning:
-                fused, card = None, None
-            return kernel.fast_independence_test(
-                self.frame.codes(a), self.frame.codes(b), fused, n_z=card,
-                weights=weights,
-                use_blocked=self.use_blocked_permutations,
-                early_exit=self.permutation_early_exit,
-                counter_hook=self.counter_hook,
-                budget=self.permutation_budget,
-                **kwargs,
-            )
-        return conditional_independence_test(
-            self.frame.codes(a), self.frame.codes(b),
-            [self.frame.codes(c) for c in conditioning],
+        # Fuse in *caller* order: the permutation strata then sort the
+        # same way the reference ``joint_codes`` labels do, so the RNG is
+        # consumed stratum-for-stratum identically.
+        fused, card = self._joint_for(tuple(conditioning), plain=True)
+        if not conditioning:
+            fused, card = None, None
+        return kernel.fast_independence_test(
+            self.frame.codes(a), self.frame.codes(b), fused, n_z=card,
             weights=weights,
-            early_exit=self.permutation_early_exit,
             counter_hook=self.counter_hook,
             budget=self.permutation_budget,
             **kwargs,
@@ -490,9 +430,6 @@ class CorrelationExplanationProblem:
             attribute: weights[np.asarray(mask, dtype=bool)]
             for attribute, weights in self.attribute_weights.items()
         }
-        restricted.use_kernel = self.use_kernel
-        restricted.use_blocked_permutations = self.use_blocked_permutations
-        restricted.permutation_early_exit = self.permutation_early_exit
         restricted.permutation_budget = self.permutation_budget
         restricted.counter_hook = self.counter_hook
         restricted.seconds_hook = self.seconds_hook
@@ -518,9 +455,6 @@ class CorrelationExplanationProblem:
         clone.n_bins = self.n_bins
         clone.frame = self.frame
         clone.attribute_weights = self.attribute_weights
-        clone.use_kernel = self.use_kernel
-        clone.use_blocked_permutations = self.use_blocked_permutations
-        clone.permutation_early_exit = self.permutation_early_exit
         clone.permutation_budget = self.permutation_budget
         clone.counter_hook = self.counter_hook
         clone.seconds_hook = self.seconds_hook

@@ -541,8 +541,8 @@ class ShardPool:
                            n_x: int, n_y: int, n_z: int,
                            weights: Optional[Sequence[str]],
                            observed: float, n_permutations: int,
-                           alpha: float, seed: int, early_exit: bool,
-                           budget=None,
+                           alpha: float, seed: int,
+                           budget: "permutation.PermutationBudget",
                            provider: Optional[ColumnProvider] = None,
                            ) -> "permutation.PermutationOutcome":
         """Coordinator-driven permutation test over per-shard RNG streams.
@@ -571,7 +571,6 @@ class ShardPool:
         exactly like :func:`~repro.infotheory.permutation.
         blocked_permutation_test` (unpackable as the historical 4-tuple).
         """
-        budget = permutation.resolve_budget(budget, early_exit)
         state = permutation.BudgetedSequentialTest(n_permutations, alpha,
                                                   budget)
         cells = n_x * n_y * max(1, n_z)

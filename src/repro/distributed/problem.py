@@ -49,9 +49,9 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
 
     Constructed exactly like the base problem plus ``pool`` (a started
     :class:`ShardPool`) and ``shard_ctx`` (the pool's context handle for
-    this problem's context frame).  ``use_kernel=False`` disables the
-    kernel *and* the data plane — estimates run on the local reference
-    estimators.
+    this problem's context frame).  Every estimate computes the same
+    kernel quantity as the base class; only where the counts are taken
+    differs.
     """
 
     def __init__(self, pool: ShardPool, shard_ctx: ShardContext,
@@ -164,8 +164,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
     # information-theoretic oracle (scatter-gather)
     # ------------------------------------------------------------------ #
     def cmi(self, conditioning: Sequence[str] = ()) -> float:
-        if not self.use_kernel:
-            return super().cmi(conditioning)
         key = tuple(sorted(conditioning))
         cached = self._cmi_cache.get(key)
         if cached is not None:
@@ -192,8 +190,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
 
     def score_candidates(self, attributes: Sequence[str],
                          given: Sequence[str] = ()) -> Dict[str, float]:
-        if not self.use_kernel:
-            return super().score_candidates(attributes, given)
         given = tuple(given)
         given_set = set(given)
         scores: Dict[str, float] = {}
@@ -253,8 +249,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
         return scores
 
     def pairwise_mi(self, a: str, b: str) -> float:
-        if not self.use_kernel:
-            return super().pairwise_mi(a, b)
         key = (a, b) if a <= b else (b, a)
         cached = self._mi_cache.get(key)
         if cached is not None:
@@ -275,8 +269,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
         return value
 
     def entropy_of(self, attribute: str) -> float:
-        if not self.use_kernel:
-            return super().entropy_of(attribute)
         cached = self._entropy_cache.get(attribute)
         if cached is None:
             card = self._card_of(attribute, plain=True)
@@ -291,8 +283,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
 
     def conditional_entropy_of(self, target: str,
                                given: Sequence[str]) -> float:
-        if not self.use_kernel:
-            return super().conditional_entropy_of(target, given)
         steps, card = self._steps_for(tuple(sorted(given)), plain=True)
         n_target = self._card_of(target, plain=True)
         if n_target * card > kernel.DENSE_CELL_LIMIT:
@@ -312,8 +302,6 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
     def independence_test(self, a: str, b: str,
                           conditioning: Sequence[str] = (),
                           **kwargs) -> IndependenceResult:
-        if not self.use_kernel:
-            return super().independence_test(a, b, conditioning, **kwargs)
         threshold = kwargs.pop("threshold", DEFAULT_CMI_THRESHOLD)
         n_permutations = kwargs.pop("n_permutations", 30)
         alpha = kwargs.pop("alpha", 0.05)
@@ -371,18 +359,14 @@ class ShardedExplanationProblem(CorrelationExplanationProblem):
         if n_permutations <= 0:
             return IndependenceResult(independent=False, cmi=observed,
                                       p_value=0.0, n_permutations=0)
-        budget = permutation.resolve_budget(self.permutation_budget,
-                                            self.permutation_early_exit)
         outcome = self.pool.permutation_rounds(
             self.shard_ctx, x=x_steps, y=y_steps, z=steps or None,
             n_x=n_x, n_y=n_y, n_z=card, weights=weight_keys,
             observed=observed, n_permutations=n_permutations,
-            alpha=alpha, seed=seed,
-            early_exit=self.permutation_early_exit,
-            budget=self.permutation_budget,
+            alpha=alpha, seed=seed, budget=self.permutation_budget,
             provider=self._provider)
         permutation.report_outcome(self.counter_hook, outcome,
-                                   n_permutations, budget)
+                                   n_permutations, self.permutation_budget)
         return IndependenceResult(independent=outcome.independent(alpha),
                                   cmi=observed,
                                   p_value=outcome.p_value,

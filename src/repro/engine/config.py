@@ -18,6 +18,12 @@ from repro.exceptions import ConfigurationError
 class MESAConfig:
     """Tunable knobs of the MESA pipeline.
 
+    The knobs choose *what* the pipeline computes — thresholds, pruning and
+    search policies, permutation budgets, worker fan-out — never *how* an
+    estimate is computed: every CMI estimate runs on the contingency-count
+    kernel, every permutation test on the blocked engine and every IPW
+    selection fit through the cached multi-label solve.
+
     Attributes
     ----------
     k:
@@ -63,22 +69,6 @@ class MESAConfig:
         outcome".
     excluded_columns:
         Columns never considered as candidates (identifiers).
-    use_fast_kernel:
-        Route every information-theoretic estimate through the
-        contingency-count kernel (:mod:`repro.infotheory.kernel`): one
-        ``bincount`` per CMI term, incremental joint coding of conditioning
-        sets, and batched candidate scoring.  Results are identical to the
-        reference estimators within float tolerance; disable only to
-        reproduce the legacy (slow) estimation path, e.g. for the
-        before/after performance benchmark.
-    use_blocked_permutations:
-        Run permutation-based independence tests on the blocked engine
-        (:mod:`repro.infotheory.permutation`): permutations are sampled in
-        blocks and all their contingency counts accumulate in one shared
-        ``bincount``.  The RNG stream is identical to the historical
-        per-permutation loop, so p-values and verdicts are bit-identical;
-        disable only to reproduce the pre-blocked timing (the performance
-        benchmark compares both).
     permutation_early_exit:
         Let the sequential test stop a permutation run as soon as the
         verdict is determined (deterministic exceedance bracket, plus a
@@ -118,14 +108,6 @@ class MESAConfig:
         the sequential search; ``context.counters['speculation_hit']`` /
         ``['speculation_waste']`` count consumed and discarded
         speculations.
-    use_ipw_fit_cache:
-        Route IPW selection-model fits through the batched inference
-        backend (:mod:`repro.missingness.fitcache`): fits are cached by
-        observed-mask hash + design signature (attributes sharing a
-        missingness pattern fit once, ``ipw_fit_hit``/``ipw_fit_miss``
-        counters) and all uncached attributes of a query batch into one
-        multi-label IRLS solve.  Disable to reproduce the per-attribute
-        fitting path.
     n_jobs:
         Worker count for the batch APIs (``explain_many`` /
         ``explain_many_envelopes``); ``1`` (default) runs serially, ``-1``
@@ -154,13 +136,10 @@ class MESAConfig:
     use_responsibility_test: bool = True
     ipw_predictor_columns: Optional[Tuple[str, ...]] = None
     excluded_columns: Tuple[str, ...] = ()
-    use_fast_kernel: bool = True
-    use_blocked_permutations: bool = True
     permutation_early_exit: bool = False
     max_responsibility_permutations: int = 0
     permutation_rng_stream: str = "legacy"
     speculative_search: bool = False
-    use_ipw_fit_cache: bool = True
     n_jobs: int = 1
     parallel_backend: str = "thread"
 

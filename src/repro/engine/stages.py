@@ -33,8 +33,9 @@ from repro.core.problem import CorrelationExplanationProblem
 from repro.core.pruning import PruningResult, online_prune
 from repro.engine.context import PipelineContext
 from repro.engine.config import MESAConfig
+from repro.infotheory.permutation import PermutationBudget
 from repro.missingness.fitcache import compute_ipw_weights_batched
-from repro.missingness.ipw import IPWWeights, compute_ipw_weights
+from repro.missingness.ipw import IPWWeights
 from repro.missingness.recoverability import RecoverabilityReport, attribute_selection_bias
 from repro.query.aggregate_query import AggregateQuery
 from repro.table.table import Table
@@ -133,33 +134,23 @@ def _build_problem(state: QueryState, context: PipelineContext,
                    ) -> CorrelationExplanationProblem:
     """Build the problem instance, sharded when a data plane is attached.
 
-    With ``context.shard_pool`` set (rows-mode serving) and the fast kernel
-    enabled, the problem routes its counts through the pool's row-shard
-    workers; otherwise — including ``use_fast_kernel=False``, where the
-    reference estimators need the local arrays anyway — it runs entirely in
-    this process.
+    With ``context.shard_pool`` set (rows-mode serving) the problem routes
+    its counts through the pool's row-shard workers; otherwise it runs
+    entirely in this process.
     """
     config = state.config
-    permutation_budget = None
-    if (config.max_responsibility_permutations
-            or config.permutation_rng_stream != "legacy"):
-        from repro.infotheory.permutation import PermutationBudget
-        permutation_budget = PermutationBudget(
+    kwargs = dict(
+        attribute_weights=attribute_weights, n_bins=config.n_bins,
+        frame=frame, context_table=context_table,
+        permutation_budget=PermutationBudget(
             max_permutations=config.max_responsibility_permutations or None,
             early_exit=config.permutation_early_exit
             or bool(config.max_responsibility_permutations),
             rng_stream=config.permutation_rng_stream,
-        )
-    kwargs = dict(
-        attribute_weights=attribute_weights, n_bins=config.n_bins,
-        use_kernel=config.use_fast_kernel,
-        frame=frame, context_table=context_table,
-        use_blocked_permutations=config.use_blocked_permutations,
-        permutation_early_exit=config.permutation_early_exit,
-        permutation_budget=permutation_budget,
+        ),
         counter_hook=context.count, seconds_hook=context.add_seconds,
     )
-    if context.shard_pool is not None and config.use_fast_kernel:
+    if context.shard_pool is not None:
         from repro.distributed.problem import ShardedExplanationProblem
         handle = context.shard_context(
             state.query.context, hops=config.hops, n_bins=config.n_bins,
@@ -237,8 +228,7 @@ class SelectionBiasStage(PipelineStage):
                 continue
             report = attribute_selection_bias(problem.frame, problem.outcome,
                                               problem.exposure, attribute,
-                                              n_permutations=0,
-                                              use_kernel=config.use_fast_kernel)
+                                              n_permutations=0)
             reports.append(report)
             if report.selection_bias:
                 biased.append(attribute)
@@ -247,22 +237,21 @@ class SelectionBiasStage(PipelineStage):
         fit_start = time.perf_counter()
         try:
             weights = self._fit_selection_models(problem, biased, predictors,
-                                                 context, config)
+                                                 context)
         finally:
             context.add_seconds("ipw_fit", time.perf_counter() - fit_start)
         return reports, weights
 
     @staticmethod
     def _fit_selection_models(problem, biased: List[str], predictors: List[str],
-                              context: PipelineContext, config: MESAConfig,
+                              context: PipelineContext,
                               ) -> Dict[str, IPWWeights]:
         """Fit the selection models of the biased attributes.
 
-        The default path routes every fit through the context's
+        Every fit routes through the context's
         :class:`~repro.missingness.fitcache.SelectionFitCache` (hits are
-        counted as ``ipw_fit_hit``) and batches the misses into one
-        multi-label IRLS solve; ``use_ipw_fit_cache=False`` reproduces the
-        historical per-attribute fitting loop.
+        counted as ``ipw_fit_hit``) and the misses batch into one
+        multi-label IRLS solve.
         """
         def build_design():
             """One-hot features + binomial row groups of the shared design.
@@ -279,25 +268,19 @@ class SelectionBiasStage(PipelineStage):
             return (one_hot_encode_codes(predictor_codes),
                     _predictor_row_groups(predictor_codes))
 
-        if config.use_ipw_fit_cache:
-            # The design is built lazily, only when some fit misses the
-            # cache — a fully cached query (the warm serving shape) skips
-            # the one-hot encoding entirely.  A sharded problem contributes
-            # its distributed IRLS solver, so cache misses fit on the row
-            # shards (with a local fallback inside the fitter).
-            fitter = None
-            if predictors and hasattr(problem, "distributed_fitter"):
-                fitter = problem.distributed_fitter(predictors)
-            return compute_ipw_weights_batched(
-                problem.frame, biased, predictors,
-                design_factory=build_design,
-                cache=context.ipw_fit_cache, counter_hook=context.count,
-                fitter=fitter)
-        features, row_groups = build_design()
-        return {attribute: compute_ipw_weights(problem.frame, attribute,
-                                               predictors, features=features,
-                                               row_groups=row_groups)
-                for attribute in biased}
+        # The design is built lazily, only when some fit misses the cache —
+        # a fully cached query (the warm serving shape) skips the one-hot
+        # encoding entirely.  A sharded problem contributes its distributed
+        # IRLS solver, so cache misses fit on the row shards (with a local
+        # fallback inside the fitter).
+        fitter = None
+        if predictors and hasattr(problem, "distributed_fitter"):
+            fitter = problem.distributed_fitter(predictors)
+        return compute_ipw_weights_batched(
+            problem.frame, biased, predictors,
+            design_factory=build_design,
+            cache=context.ipw_fit_cache, counter_hook=context.count,
+            fitter=fitter)
 
 
 class SearchStage(PipelineStage):

@@ -12,12 +12,13 @@ Rows with a missing value in any involved variable are excluded
 (complete-case analysis), optionally re-weighted via the ``weights``
 argument.
 
-Two implementations coexist: the reference estimators in
+Every estimate the explanation oracle makes runs on the contingency-count
+kernel in :mod:`~repro.infotheory.kernel` (one weighted ``bincount`` per
+term over incrementally fused codes).  The row-wise estimators in
 :mod:`~repro.infotheory.entropy` / :mod:`~repro.infotheory.mutual_information`
-(one masked entropy call per term), and the contingency-count kernel in
-:mod:`~repro.infotheory.kernel` (one weighted ``bincount`` per term over
-incrementally fused codes) which the explanation oracle uses by default.
-The property tests assert both agree to 1e-9 on every estimate.
+(one masked entropy call per term) are the kernel's fallback for code
+spaces too wide to count densely, and the oracle its property tests
+compare against to 1e-9.
 """
 
 from repro.infotheory.encoding import (
@@ -36,10 +37,7 @@ from repro.infotheory.mutual_information import (
     interaction_information,
     mutual_information,
 )
-from repro.infotheory.independence import (
-    IndependenceResult,
-    conditional_independence_test,
-)
+from repro.infotheory.independence import IndependenceResult
 from repro.infotheory.kernel import (
     contingency_cmi,
     contingency_conditional_entropy,
@@ -68,7 +66,6 @@ __all__ = [
     "interaction_information",
     "mutual_information",
     "IndependenceResult",
-    "conditional_independence_test",
     "contingency_cmi",
     "contingency_conditional_entropy",
     "contingency_entropy",

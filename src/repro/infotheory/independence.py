@@ -1,32 +1,13 @@
-"""Conditional-independence testing.
+"""Result type and default threshold of the conditional-independence test.
 
-The MCIMR stopping criterion and several pruning rules need a fast test of
-``X ⊥ Y | Z`` from data.  The paper cites the "highly efficient independence
-test" of HypDB [63], which compares the estimated CMI against a permutation
-null distribution.  We implement exactly that: the observed CMI is compared
-with the CMIs obtained after randomly permuting ``X`` *within strata of Z*
-(so the null preserves the marginal relationships with the conditioning
-set), plus a cheap absolute threshold shortcut for the common case where the
-observed CMI is essentially zero.
+The test itself — the stratified permutation test of HypDB [63] that the
+paper cites for the MCIMR stopping criterion and the pruning rules — is
+:func:`repro.infotheory.kernel.fast_independence_test`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
-
-from repro.infotheory.encoding import joint_codes
-from repro.infotheory.mutual_information import conditional_mutual_information
-from repro.infotheory.permutation import (
-    PermutationBudget,
-    PermutationPlan,
-    report_outcome,
-    resolve_budget,
-    sequential_permutation_test,
-)
-from repro.utils.rng import make_rng
 
 DEFAULT_CMI_THRESHOLD = 0.01
 
@@ -65,71 +46,3 @@ class IndependenceResult:
     early_exit: bool = False
     budget_extensions: int = 0
 
-
-def _permute_within_strata(x: np.ndarray, strata: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Permute ``x`` independently inside each stratum of ``strata``."""
-    permuted = x.copy()
-    for stratum in np.unique(strata):
-        indices = np.where(strata == stratum)[0]
-        if len(indices) > 1:
-            permuted[indices] = x[rng.permutation(indices)]
-    return permuted
-
-
-def conditional_independence_test(x: np.ndarray, y: np.ndarray,
-                                  conditioning: Sequence[np.ndarray] = (),
-                                  weights: Optional[np.ndarray] = None,
-                                  threshold: float = DEFAULT_CMI_THRESHOLD,
-                                  n_permutations: int = 30,
-                                  alpha: float = 0.05,
-                                  dependent_threshold: Optional[float] = None,
-                                  seed: Optional[int] = 0,
-                                  early_exit: bool = False,
-                                  counter_hook=None,
-                                  budget: Optional[PermutationBudget] = None,
-                                  ) -> IndependenceResult:
-    """Test whether ``X ⊥ Y | conditioning`` holds in the data.
-
-    The test first applies two cheap shortcuts: if the observed CMI is below
-    ``threshold`` the variables are declared independent, and if it is above
-    ``dependent_threshold`` (when given) they are declared dependent — both
-    without running permutations.  Otherwise a stratified permutation test
-    with ``n_permutations`` permutations is run and independence is declared
-    when the permutation p-value exceeds ``alpha``.  Note the smallest
-    achievable p-value is ``1/(n_permutations+1)``, so at least 20
-    permutations are needed for decisions at ``alpha=0.05``.
-
-    The permutation loop runs on the blocked engine's precomputed strata
-    plan (:mod:`repro.infotheory.permutation`) — same RNG stream, same
-    p-values, no per-permutation strata re-derivation.  With
-    ``early_exit=True`` the sequential decision stops the loop as soon as
-    the verdict is determined; an explicit ``budget`` wins over the flag
-    and may extend ``n_permutations`` adaptively while the verdict stays
-    statistically uncertain.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    conditioning = [np.asarray(codes, dtype=np.int64) for codes in conditioning]
-    observed = conditional_mutual_information(x, y, conditioning, weights=weights)
-    if observed <= threshold:
-        return IndependenceResult(independent=True, cmi=observed, p_value=1.0, n_permutations=0)
-    if dependent_threshold is not None and observed >= dependent_threshold:
-        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
-    if n_permutations <= 0:
-        return IndependenceResult(independent=False, cmi=observed, p_value=0.0, n_permutations=0)
-    budget = resolve_budget(budget, early_exit)
-    rng = make_rng(seed)
-    strata = joint_codes(conditioning) if conditioning else np.zeros(len(x), dtype=np.int64)
-    outcome = sequential_permutation_test(
-        x, PermutationPlan(strata), rng, observed, n_permutations, alpha,
-        lambda permuted: conditional_mutual_information(
-            permuted, y, conditioning, weights=weights),
-        budget=budget)
-    report_outcome(counter_hook, outcome, n_permutations, budget)
-    return IndependenceResult(independent=outcome.independent(alpha),
-                              cmi=observed,
-                              p_value=outcome.p_value,
-                              n_permutations=outcome.n_run,
-                              early_exit=outcome.verdict is not None,
-                              budget_extensions=outcome.extensions)

@@ -1,14 +1,7 @@
-"""Fast contingency-count estimation kernel.
+"""Contingency-count estimation kernel — the production estimators.
 
-The reference estimators in :mod:`repro.infotheory.entropy` and
-:mod:`repro.infotheory.mutual_information` compute every CMI term from raw
-row arrays: each call re-derives joint codes with a row-wise ``np.unique``
-(a lexicographic sort over stacked columns) and evaluates four independent
-entropy estimates over masked copies.  The explanation search evaluates
-thousands of such terms over the *same* table, so almost all of that work
-is redundant.
-
-This module restructures the counting layer:
+Every entropy, MI and CMI estimate of the explanation oracle is computed
+here, from encoded code arrays:
 
 * **One weighted contingency count per term.**  ``contingency_cmi`` fuses
   the (already encoded) variables into a single code array with place-value
@@ -23,14 +16,19 @@ This module restructures the counting layer:
   the lexicographic tuple order used by
   :func:`repro.infotheory.encoding.joint_codes` — so partitions, labels
   ordering, and therefore every downstream estimate and permutation test
-  match the reference implementation exactly.
+  match the row-wise estimators exactly.
 * **A permutation test that fuses once.**  ``fast_independence_test``
-  mirrors :func:`repro.infotheory.independence.conditional_independence_test`
-  but reuses the fused conditioning codes across all permutations.
+  reuses the fused conditioning codes across all permutations and runs
+  the permutation phase on the blocked engine
+  (:mod:`repro.infotheory.permutation`).
 
-All estimates match the reference estimators to within floating-point
-summation error (the property tests assert 1e-9), including IPW weights,
-``-1`` missing codes, and both estimators (``plugin``/``miller_madow``).
+The row-wise estimators of :mod:`repro.infotheory.entropy` /
+:mod:`repro.infotheory.mutual_information` serve as the fallback when a
+code space is too wide for a dense count (``DENSE_CELL_LIMIT``, even
+after compaction), and as the oracle the property tests compare this
+module against: all estimates agree to within floating-point summation
+error (1e-9), including IPW weights, ``-1`` missing codes, and both
+estimators (``plugin``/``miller_madow``).
 """
 
 from __future__ import annotations
@@ -42,11 +40,7 @@ import numpy as np
 from repro.exceptions import EstimationError
 from repro.infotheory import permutation
 from repro.infotheory.entropy import _ESTIMATORS, _validate_weights, conditional_entropy
-from repro.infotheory.independence import (
-    DEFAULT_CMI_THRESHOLD,
-    IndependenceResult,
-    _permute_within_strata,
-)
+from repro.infotheory.independence import DEFAULT_CMI_THRESHOLD, IndependenceResult
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.utils.rng import make_rng
 
@@ -419,24 +413,30 @@ def fast_independence_test(x: np.ndarray, y: np.ndarray,
                            alpha: float = 0.05,
                            dependent_threshold: Optional[float] = None,
                            seed: Optional[int] = 0,
-                           use_blocked: bool = True,
                            early_exit: bool = False,
                            block_size: Optional[int] = None,
                            counter_hook=None,
                            budget=None) -> IndependenceResult:
-    """Kernel-backed drop-in for ``conditional_independence_test``.
+    """Test whether ``X ⊥ Y | Z`` holds in the data.
+
+    The observed CMI is compared with CMIs after permuting ``X`` within
+    strata of ``Z`` — the "highly efficient independence test" of HypDB
+    the paper cites — plus two cheap shortcuts: below ``threshold`` the
+    variables are declared independent, above ``dependent_threshold``
+    (when given) dependent, both without running permutations.
+    Otherwise independence is declared when the permutation p-value
+    exceeds ``alpha``; the smallest achievable p-value is
+    ``1/(n_permutations+1)``.
 
     The conditioning set arrives pre-fused (``z``/``n_z``) and is reused
-    across every permutation.  With ``use_blocked=True`` (default) the
-    permutation phase runs on the blocked engine
-    (:func:`repro.infotheory.permutation.blocked_permutation_test`):
-    permutations are sampled in blocks as one fancy-index, all their
-    contingency counts accumulate in one shared ``bincount``, and — because
-    the engine consumes the RNG exactly as the historical loop did — the
-    p-values stay bit-identical (``early_exit=False``).  The permutation
-    strata are the fused codes themselves: they induce the same partition,
-    in the same sorted order, as the reference ``joint_codes`` strata, so
-    verdicts also match the reference test exactly.
+    across every permutation.  The permutation phase runs on the blocked
+    engine (:func:`repro.infotheory.permutation.blocked_permutation_test`):
+    permutations are sampled in blocks as one fancy-index and all their
+    contingency counts accumulate in one shared ``bincount``, consuming
+    the RNG exactly as a per-permutation loop would.  The permutation
+    strata are the fused codes themselves: they induce the same
+    partition, in the same sorted order, as ``joint_codes`` strata, so
+    verdicts and p-values match the row-wise reference test exactly.
 
     ``early_exit=True`` stops the sequential test as soon as the verdict is
     determined (see :mod:`repro.infotheory.permutation`); ``counter_hook``
@@ -461,37 +461,17 @@ def fast_independence_test(x: np.ndarray, y: np.ndarray,
         return IndependenceResult(independent=False, cmi=observed,
                                   p_value=0.0, n_permutations=0)
     budget = permutation.resolve_budget(budget, early_exit)
-    rng = make_rng(seed)
-    strata = z if z is not None else np.zeros(len(x), dtype=np.int64)
-    if use_blocked:
-        fused_z = np.asarray(strata, dtype=np.int64)
-        card_z = n_z if z is not None and n_z is not None \
-            else code_cardinality(fused_z)
-        outcome = permutation.blocked_permutation_test(
-            x, y, fused_z, card_z, weights, observed, n_permutations, alpha,
-            rng, block_size=block_size, budget=budget)
-        # Savings are counted against the permutations actually scored
-        # (the block look-ahead is paid work, not a saving).
-        permutation.report_outcome(counter_hook, outcome, n_permutations,
-                                   budget)
-        return IndependenceResult(independent=outcome.independent(alpha),
-                                  cmi=observed,
-                                  p_value=outcome.p_value,
-                                  n_permutations=outcome.n_run,
-                                  early_exit=outcome.verdict is not None,
-                                  budget_extensions=outcome.extensions)
-    # Historical per-permutation loop (use_blocked=False) — kept as the
-    # benchmark's pre-blocked reference; the budgeted sequential decision
-    # still applies so the config flags mean the same thing on every path.
-    state = permutation.BudgetedSequentialTest(n_permutations, alpha, budget)
-    verdict = None
-    while state.want_more:
-        permuted = _permute_within_strata(x, strata, rng)
-        null_cmi = contingency_cmi(permuted, y, z, n_z=n_z, weights=weights)
-        verdict = state.update(null_cmi >= observed)
-        if verdict is not None:
-            break
-    outcome = state.outcome(verdict, state.done)
+    if z is None:
+        fused_z = np.zeros(len(x), dtype=np.int64)
+        card_z = 1
+    else:
+        fused_z = np.asarray(z, dtype=np.int64)
+        card_z = n_z if n_z is not None else code_cardinality(fused_z)
+    outcome = permutation.blocked_permutation_test(
+        x, y, fused_z, card_z, weights, observed, n_permutations, alpha,
+        make_rng(seed), block_size=block_size, budget=budget)
+    # Savings are counted against the permutations actually scored (the
+    # block look-ahead is paid work, not a saving).
     permutation.report_outcome(counter_hook, outcome, n_permutations, budget)
     return IndependenceResult(independent=outcome.independent(alpha),
                               cmi=observed,

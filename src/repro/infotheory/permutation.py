@@ -1,10 +1,9 @@
 """Blocked permutation engine with a sequential early-exit test.
 
-Both independence tests (:func:`repro.infotheory.independence.
-conditional_independence_test` and :func:`repro.infotheory.kernel.
-fast_independence_test`) estimate a permutation p-value by re-computing the
-CMI after permuting ``X`` within strata of the conditioning set.  The
-historical loops paid three avoidable costs *per permutation*:
+The independence test (:func:`repro.infotheory.kernel.
+fast_independence_test`) estimates a permutation p-value by re-computing the
+CMI after permuting ``X`` within strata of the conditioning set.  A
+per-permutation loop pays three avoidable costs *per permutation*:
 
 * re-deriving the strata (``np.unique`` + one ``np.where`` per stratum —
   ``O(n · n_strata)``) although the strata never change;
@@ -16,8 +15,8 @@ This module restructures the permutation layer:
 
 * :class:`PermutationPlan` precomputes the stratum index lists once.  Its
   :meth:`~PermutationPlan.permute` draws ``rng.permutation`` per stratum in
-  exactly the order (sorted stratum values, ascending row indices) of the
-  historical ``_permute_within_strata``, so the RNG stream — and therefore
+  exactly the order (sorted stratum values, ascending row indices) of a
+  per-stratum ``rng.permutation`` loop, so the RNG stream — and therefore
   every permutation, p-value and verdict — is bit-for-bit identical.
 * :func:`blocked_permutation_test` samples permutations in blocks: one
   ``(B, n)`` permuted-code matrix, one shared ``np.bincount`` over
@@ -28,8 +27,8 @@ This module restructures the permutation layer:
   kernel loop while paying one ``bincount`` per block instead of per
   permutation.
 * :func:`sequential_permutation_test` drives an arbitrary per-permutation
-  statistic (the reference estimators use this) through the same plan and
-  early-exit decision.
+  statistic through the same plan and early-exit decision (the blocked
+  driver falls back to it for code spaces too wide to count densely).
 
 Early exit (``early_exit=True``) is a *sequential* test on the exceedance
 count.  Two deterministic bounds never flip the fixed-``N`` verdict: with
@@ -56,9 +55,8 @@ as the fixed-budget sequential test would (same bracket, same verdict); a
 test that does extend was, by construction, statistically uncertain at
 the base budget, and its final verdict rests on a strictly larger sample.
 :class:`BudgetedSequentialTest` is the one decision object shared by
-every driver — the scalar loop, the blocked kernel driver, the legacy
-per-permutation loop in :func:`repro.infotheory.kernel.
-fast_independence_test`, and the row-sharded coordinator
+every driver — the scalar loop, the blocked kernel driver and the
+row-sharded coordinator
 (:meth:`repro.distributed.coordinator.ShardPool.permutation_rounds`,
 whose chunk-aligned per-shard RNG streams make extension deterministic
 and resume-safe).
@@ -470,10 +468,10 @@ class PermutationOutcome:
 class BudgetedSequentialTest:
     """Mutable decision state of one budgeted sequential permutation test.
 
-    Every driver (scalar, blocked, legacy loop, sharded coordinator) feeds
+    Every driver (scalar, blocked, sharded coordinator) feeds
     exceedance outcomes through :meth:`update` one permutation at a time;
     the object owns the early-exit decision *and* the extension decision,
-    so the four drivers cannot drift apart:
+    so the drivers cannot drift apart:
 
     * while ``done < target`` the sequential verdict applies whenever
       ``early_exit`` is set, or unconditionally once the test is past its
@@ -552,7 +550,7 @@ def report_outcome(counter_hook, outcome: PermutationOutcome,
 
     Also tags the innermost open trace span (the per-test
     ``permutation_test`` span) with the outcome, so every driver —
-    scalar, blocked, legacy loop, sharded — reports identically.
+    scalar, blocked, sharded — reports identically.
     """
     trace.annotate(
         permutations_run=outcome.n_run,

@@ -19,7 +19,7 @@ from repro.missingness.fitcache import (
     compute_ipw_weights_batched,
 )
 from repro.missingness.imputation import complete_cases, impute_mean, impute_mode
-from repro.missingness.ipw import IPWWeights, compute_ipw_weights
+from repro.missingness.ipw import IPWWeights
 from repro.missingness.logistic import LogisticRegression, fit_logistic_multi
 from repro.missingness.patterns import inject_biased_removal, inject_mcar
 from repro.missingness.recoverability import (
@@ -35,7 +35,6 @@ __all__ = [
     "impute_mode",
     "IPWWeights",
     "SelectionFitCache",
-    "compute_ipw_weights",
     "compute_ipw_weights_batched",
     "LogisticRegression",
     "fit_logistic_multi",

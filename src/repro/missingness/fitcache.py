@@ -173,11 +173,13 @@ def compute_ipw_weights_batched(frame, attributes: Sequence[str],
                                 fitter=None) -> Dict[str, IPWWeights]:
     """IPW weights for several attributes: cache hits first, one solve for the rest.
 
-    Semantics per attribute match
-    :func:`repro.missingness.ipw.compute_ipw_weights` (degenerate selection
-    rates keep unit weights, the same clipping applies); attributes whose
-    observed mask and design coincide share a single fit, and all remaining
-    distinct masks batch into one :func:`fit_logistic_multi` call.
+    Each observed row of an attribute gets ``P(R=1) / P(R=1 | X)``
+    (predicted probabilities floored at 1e-3, weights clipped to
+    ``clip``); missing rows, and every row of a degenerate attribute
+    (nothing or everything observed, or no predictors), keep weight 1.
+    Attributes whose observed mask and design coincide share a single fit,
+    and all remaining distinct masks batch into one
+    :func:`fit_logistic_multi` call.
 
     ``design_factory`` — a zero-argument callable returning
     ``(features, row_groups)`` — is invoked only when at least one fit
@@ -239,8 +241,8 @@ def _ipw_weights_batched(frame, attributes: Sequence[str],
         observed = frame.observed_mask(attribute)
         selection_rate = float(observed.mean()) if n_rows else 0.0
         if n_rows == 0 or selection_rate in (0.0, 1.0) or not predictor_columns:
-            # Degenerate cases mirror compute_ipw_weights: every row keeps
-            # weight 1 and no model is fitted (or cached).
+            # Degenerate cases: the best estimate of P(R=1|X) is P(R=1),
+            # so every row keeps weight 1 and no model is fitted (or cached).
             results[attribute] = IPWWeights(
                 attribute=attribute, weights=np.ones(n_rows, dtype=np.float64),
                 selection_rate=selection_rate, model_converged=True)

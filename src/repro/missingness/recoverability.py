@@ -13,7 +13,8 @@ and estimates of ``I(E; E')`` are recoverable when
 When the conditions fail the attribute suffers from selection bias and the
 MCIMR computation must use the IPW weights of :mod:`repro.missingness.ipw`.
 The conditional-independence tests reuse the permutation test of
-:mod:`repro.infotheory.independence`.
+:func:`repro.infotheory.kernel.fast_independence_test`; the conditions only
+ever condition on a single variable, whose codes are their own strata.
 """
 
 from __future__ import annotations
@@ -24,27 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.infotheory.encoding import EncodedFrame, joint_codes
-from repro.infotheory.independence import conditional_independence_test
 from repro.infotheory.kernel import code_cardinality, fast_independence_test
-
-
-def _independence(x: np.ndarray, y: np.ndarray, conditioning: Sequence[np.ndarray],
-                  use_kernel: bool, **kwargs):
-    """Dispatch one CI test to the kernel or the reference implementation.
-
-    The recoverability conditions only ever condition on a single variable,
-    so the kernel path needs no joint coding — the conditioning codes are
-    their own strata, and verdicts match the reference test exactly.  The
-    kernel path runs on the blocked permutation engine by default
-    (``use_blocked`` / ``early_exit`` forward through ``kwargs``).
-    """
-    if not use_kernel:
-        kwargs.pop("use_blocked", None)
-        return conditional_independence_test(x, y, conditioning, **kwargs)
-    if not conditioning:
-        return fast_independence_test(x, y, None, **kwargs)
-    z = np.asarray(conditioning[0], dtype=np.int64)
-    return fast_independence_test(x, y, z, n_z=code_cardinality(z), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -82,7 +63,7 @@ def _selection_indicator(frame: EncodedFrame, attribute: str) -> np.ndarray:
 
 def cmi_is_recoverable(frame: EncodedFrame, outcome: str, treatment: str, attribute: str,
                        cmi_threshold: float = 0.02, n_permutations: int = 20,
-                       seed: Optional[int] = 0, use_kernel: bool = True,
+                       seed: Optional[int] = 0,
                        **test_kwargs) -> Dict[str, bool]:
     """Check the (testable surrogate of the) conditions of Proposition 3.1.
 
@@ -102,13 +83,13 @@ def cmi_is_recoverable(frame: EncodedFrame, outcome: str, treatment: str, attrib
     selection = _selection_indicator(frame, attribute)
     outcome_codes = frame.codes(outcome)
     treatment_codes = frame.codes(treatment)
-    first = _independence(
-        outcome_codes, selection, [], use_kernel,
+    first = fast_independence_test(
+        outcome_codes, selection, None,
         threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
         **test_kwargs,
     )
-    second = _independence(
-        outcome_codes, selection, [treatment_codes], use_kernel,
+    second = fast_independence_test(
+        outcome_codes, selection, treatment_codes, n_z=code_cardinality(treatment_codes),
         threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
         **test_kwargs,
     )
@@ -121,7 +102,7 @@ def cmi_is_recoverable(frame: EncodedFrame, outcome: str, treatment: str, attrib
 
 def mi_is_recoverable(frame: EncodedFrame, attribute: str, other: str,
                       cmi_threshold: float = 0.02, n_permutations: int = 20,
-                      seed: Optional[int] = 0, use_kernel: bool = True,
+                      seed: Optional[int] = 0,
                       **test_kwargs) -> Dict[str, bool]:
     """Check the two conditions of Proposition 3.2 for ``I(E; E')``."""
     selection_pair = joint_codes([
@@ -130,13 +111,13 @@ def mi_is_recoverable(frame: EncodedFrame, attribute: str, other: str,
     ])
     attribute_codes = frame.codes(attribute)
     other_codes = frame.codes(other)
-    first = _independence(
-        attribute_codes, selection_pair, [], use_kernel,
+    first = fast_independence_test(
+        attribute_codes, selection_pair, None,
         threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
         **test_kwargs,
     )
-    second = _independence(
-        attribute_codes, selection_pair, [other_codes], use_kernel,
+    second = fast_independence_test(
+        attribute_codes, selection_pair, other_codes, n_z=code_cardinality(other_codes),
         threshold=cmi_threshold, n_permutations=n_permutations, seed=seed,
         **test_kwargs,
     )
@@ -151,7 +132,6 @@ def attribute_selection_bias(frame: EncodedFrame, outcome: str, treatment: str,
                              attribute: str, cmi_threshold: float = 0.02,
                              n_permutations: int = 20,
                              seed: Optional[int] = 0,
-                             use_kernel: bool = True,
                              **test_kwargs) -> RecoverabilityReport:
     """Full recoverability report for one candidate attribute.
 
@@ -170,7 +150,7 @@ def attribute_selection_bias(frame: EncodedFrame, outcome: str, treatment: str,
     verdicts = cmi_is_recoverable(frame, outcome, treatment, attribute,
                                   cmi_threshold=cmi_threshold,
                                   n_permutations=n_permutations, seed=seed,
-                                  use_kernel=use_kernel, **test_kwargs)
+                                  **test_kwargs)
     recoverable = verdicts.pop("recoverable")
     return RecoverabilityReport(
         attribute=attribute,

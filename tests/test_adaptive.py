@@ -40,6 +40,8 @@ from repro.mesa.config import MESAConfig
 from repro.serving.service import ExplanationService
 from repro.utils.rng import make_rng
 
+from oracles import loop_independence_test
+
 TOL = 1e-9
 
 #: Same margins as the early-exit property: the adaptive policy must agree
@@ -189,11 +191,9 @@ class TestAdaptiveNeverFlipsUnlessExtended:
         n_z = code_cardinality(z)
         budget = PermutationBudget(max_permutations=60, early_exit=True)
         blocked = fast_independence_test(x, y, z, n_z=n_z, n_permutations=20,
-                                         seed=seed, budget=budget,
-                                         use_blocked=True)
-        legacy = fast_independence_test(x, y, z, n_z=n_z, n_permutations=20,
-                                        seed=seed, budget=budget,
-                                        use_blocked=False)
+                                         seed=seed, budget=budget)
+        legacy = loop_independence_test(x, y, z, n_z=n_z, n_permutations=20,
+                                        seed=seed, budget=budget)
         assert blocked.independent == legacy.independent
         assert blocked.budget_extensions == legacy.budget_extensions
         assert abs(blocked.p_value - legacy.p_value) < 1e-12

@@ -40,6 +40,7 @@ from repro.infotheory.kernel import (
     joint_counts,
     merge_counts,
 )
+from repro.infotheory.permutation import PermutationBudget
 from repro.mesa.config import MESAConfig
 from repro.missingness.logistic import fit_logistic_multi, one_hot_encode_codes
 from repro.serving.client import HTTPClient, LocalClient
@@ -253,7 +254,7 @@ class TestShardPool:
                     ctx, x=[("col", "p:x")], y=[("col", "p:y")], z=None,
                     n_x=3, n_y=4, n_z=1, weights=None,
                     observed=0.01, n_permutations=40, alpha=0.05,
-                    seed=7, early_exit=False,
+                    seed=7, budget=PermutationBudget(),
                     provider=shard_data.__getitem__))
         assert results[0] == results[1]
         exceed, n_run, verdict, computed = results[0]
@@ -277,7 +278,7 @@ class TestShardPool:
                     ctx, x=[("col", "p:x")], y=[("col", "p:y")], z=None,
                     n_x=3, n_y=4, n_z=1, weights=None,
                     observed=observed, n_permutations=100, alpha=alpha,
-                    seed=13, early_exit=early_exit,
+                    seed=13, budget=PermutationBudget(early_exit=early_exit),
                     provider=shard_data.__getitem__)
         full_exceed, full_run, _, _ = results[False]
         exceed, n_run, verdict, computed = results[True]

@@ -20,10 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ExplanationPipeline
-from repro.infotheory.independence import (
-    _permute_within_strata,
-    conditional_independence_test,
-)
 from repro.infotheory.kernel import code_cardinality, contingency_cmi, fast_independence_test
 from repro.infotheory.mutual_information import conditional_mutual_information
 from repro.infotheory.encoding import encode_table, joint_codes
@@ -39,10 +35,17 @@ from repro.missingness.fitcache import (
     design_signature,
     observed_mask_key,
 )
-from repro.missingness.ipw import compute_ipw_weights
 from repro.missingness.logistic import LogisticRegression, fit_logistic_multi
 from repro.table.table import Table
 from repro.utils.rng import make_rng
+
+from oracles import (
+    _permute_within_strata,
+    compute_ipw_weights,
+    conditional_independence_test,
+    install_pre_blocked_inference,
+    loop_independence_test,
+)
 
 #: Alpha margins required by the early-exit property: the verdict with
 #: early exit on must equal the full run at the default level and ±0.01.
@@ -73,11 +76,9 @@ class TestBlockedPermutationEngine:
         x, y, z, weights = data.draw(coded_instances())
         n_z = code_cardinality(z)
         blocked = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
-                                         n_permutations=25, seed=seed,
-                                         use_blocked=True)
-        legacy = fast_independence_test(x, y, z, n_z=n_z, weights=weights,
-                                        n_permutations=25, seed=seed,
-                                        use_blocked=False)
+                                         n_permutations=25, seed=seed)
+        legacy = loop_independence_test(x, y, z, n_z=n_z, weights=weights,
+                                        n_permutations=25, seed=seed)
         assert abs(blocked.p_value - legacy.p_value) < 1e-12
         assert blocked.independent == legacy.independent
         assert blocked.cmi == legacy.cmi
@@ -169,8 +170,8 @@ class TestBlockedPermutationEngine:
         assert 0 < counters["perm_saved"] <= 200 - result.n_permutations
 
     def test_legacy_loop_honors_early_exit_too(self):
-        # use_blocked=False must mean "per-permutation loop", not "ignore
-        # the early-exit flag": both paths agree on verdicts and exits.
+        # The per-permutation loop honours the early-exit flag like the
+        # blocked engine: both paths agree on verdicts and exits.
         rng = np.random.default_rng(3)
         x = rng.integers(0, 4, 300)
         y = (x + rng.integers(0, 2, 300)) % 4
@@ -180,9 +181,9 @@ class TestBlockedPermutationEngine:
             blocked = fast_independence_test(x, y, z, n_z=n_z, threshold=0.0,
                                              n_permutations=60, seed=1,
                                              early_exit=early)
-            legacy = fast_independence_test(x, y, z, n_z=n_z, threshold=0.0,
+            legacy = loop_independence_test(x, y, z, n_z=n_z, threshold=0.0,
                                             n_permutations=60, seed=1,
-                                            early_exit=early, use_blocked=False)
+                                            early_exit=early)
             assert blocked.independent == legacy.independent
             assert blocked.n_permutations == legacy.n_permutations
             assert blocked.early_exit == legacy.early_exit
@@ -376,22 +377,28 @@ class TestMultiLabelIRLS:
 
 
 class TestPipelineFlagWiring:
-    """The config knobs reach the oracle and keep results equivalent."""
+    """The pre-blocked oracles and the early-exit knob keep results equivalent."""
 
-    def test_flags_off_and_on_agree(self, covid_bundle):
+    def test_flags_off_and_on_agree(self, covid_bundle, monkeypatch):
         queries = [entry.query for entry in covid_bundle.queries]
         results = {}
-        for tag, overrides in {
-            "pre": dict(use_blocked_permutations=False, use_ipw_fit_cache=False),
-            "new": dict(),
-            "early": dict(permutation_early_exit=True),
-        }.items():
+        for tag, overrides, oracle in (
+            ("pre", {}, install_pre_blocked_inference),
+            ("new", {}, None),
+            ("early", {"permutation_early_exit": True}, None),
+        ):
             config = MESAConfig(excluded_columns=tuple(covid_bundle.id_columns),
                                 k=3, **overrides)
-            pipeline = ExplanationPipeline(
-                covid_bundle.table, covid_bundle.knowledge_graph,
-                covid_bundle.extraction_specs, config=config)
-            results[tag] = pipeline.explain_many(queries, k=3)
+            with monkeypatch.context() as patch:
+                if oracle is not None:
+                    oracle(patch)
+                pipeline = ExplanationPipeline(
+                    covid_bundle.table, covid_bundle.knowledge_graph,
+                    covid_bundle.extraction_specs, config=config)
+                results[tag] = pipeline.explain_many(queries, k=3)
+                counters = pipeline.context.counters
+                # The batched fit cache runs exactly when the oracle is off.
+                assert ("ipw_fit_miss" in counters) == (oracle is None)
         for tag in ("new", "early"):
             for a, b in zip(results["pre"], results[tag]):
                 assert a.attributes == b.attributes

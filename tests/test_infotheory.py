@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import EstimationError
 from repro.infotheory.encoding import encode_table, joint_codes
 from repro.infotheory.entropy import conditional_entropy, entropy, joint_entropy
-from repro.infotheory.independence import conditional_independence_test
+from repro.infotheory.kernel import code_cardinality, fast_independence_test
 from repro.infotheory.mutual_information import (
     conditional_mutual_information, interaction_information, mutual_information,
 )
@@ -120,13 +120,13 @@ class TestIndependenceTest:
         rng = np.random.default_rng(5)
         x = rng.integers(0, 3, size=2000)
         y = rng.integers(0, 3, size=2000)
-        result = conditional_independence_test(x, y, [])
+        result = fast_independence_test(x, y)
         assert result.independent
 
     def test_dependent_variables_rejected(self):
         x = np.array([0, 1] * 500)
         y = x.copy()
-        result = conditional_independence_test(x, y, [], n_permutations=20)
+        result = fast_independence_test(x, y, n_permutations=20)
         assert not result.independent
         assert result.p_value <= 0.05
 
@@ -135,7 +135,8 @@ class TestIndependenceTest:
         z = rng.integers(0, 2, size=3000)
         x = (z + (rng.random(3000) < 0.2)) % 2
         y = (z + (rng.random(3000) < 0.2)) % 2
-        result = conditional_independence_test(x, y, [z], n_permutations=30)
+        result = fast_independence_test(x, y, z, n_z=code_cardinality(z),
+                                        n_permutations=30)
         assert result.independent
 
 

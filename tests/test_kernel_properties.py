@@ -3,8 +3,8 @@
 Every estimate the fast kernel produces — entropy, conditional entropy, MI,
 CMI, and independence-test verdicts — must agree with the reference
 implementations in :mod:`repro.infotheory.entropy` /
-:mod:`repro.infotheory.mutual_information` /
-:mod:`repro.infotheory.independence` to 1e-9, including:
+:mod:`repro.infotheory.mutual_information` and the reference permutation
+test in ``oracles`` to 1e-9, including:
 
 * IPW ``weights`` (non-negative, possibly zero for some rows);
 * ``-1`` missing codes in any involved variable;
@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.infotheory import kernel
 from repro.infotheory.encoding import joint_codes
 from repro.infotheory.entropy import conditional_entropy, entropy
-from repro.infotheory.independence import conditional_independence_test
 from repro.infotheory.kernel import (
     code_cardinality,
     compact_codes,
@@ -35,6 +35,8 @@ from repro.infotheory.mutual_information import (
     conditional_mutual_information,
     mutual_information,
 )
+
+from oracles import _permute_within_strata, conditional_independence_test
 
 TOL = 1e-9
 
@@ -176,6 +178,43 @@ class TestCMIMatchesReference:
             mutual_information(x, y), abs=TOL)
 
 
+class TestDenseCountFallback:
+    """Code spaces too wide for a dense count defer to the row-wise estimators.
+
+    This fallback is why :mod:`repro.infotheory.entropy` and
+    :mod:`repro.infotheory.mutual_information` are production code.
+    """
+
+    @pytest.fixture()
+    def fallback_calls(self, monkeypatch):
+        monkeypatch.setattr(kernel, "DENSE_CELL_LIMIT", 4)
+        calls = []
+        for name in ("conditional_mutual_information", "conditional_entropy"):
+            def spy(*args, _original=getattr(kernel, name), _name=name,
+                    **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(kernel, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weighted_missing_codes_match_reference(self, fallback_calls, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.integers(-1, 5, n)
+        y = rng.integers(-1, 4, n)
+        z = rng.integers(-1, 3, n)
+        weights = rng.uniform(0.0, 3.0, n)
+        assert contingency_cmi(x, y, z, weights=weights) == pytest.approx(
+            conditional_mutual_information(x, y, [z], weights=weights), abs=1e-12)
+        assert contingency_mi(x, y, weights=weights) == pytest.approx(
+            mutual_information(x, y, weights=weights), abs=1e-12)
+        assert contingency_conditional_entropy(x, z, weights=weights) == \
+            pytest.approx(conditional_entropy(x, [z], weights=weights), abs=1e-12)
+        assert fallback_calls == ["conditional_mutual_information"] * 2 \
+            + ["conditional_entropy"]
+
+
 class TestJointCoding:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -247,7 +286,6 @@ class TestIndependenceMatchesReference:
         # *identical* permutation stream as the reference ``joint_codes``
         # strata, in caller attribute order (same partition, same sorted
         # stratum iteration, same per-stratum index arrays).
-        from repro.infotheory.independence import _permute_within_strata
         from repro.utils.rng import make_rng
 
         x, z1, z2 = data.draw(coded_columns(n_columns=3, max_size=60))

@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import MissingDataError
 from repro.infotheory.encoding import encode_table
 from repro.missingness.imputation import complete_cases, impute_mean, impute_mode
-from repro.missingness.ipw import compute_ipw_weights
+from repro.missingness.fitcache import compute_ipw_weights_batched
 from repro.missingness.logistic import LogisticRegression, one_hot_encode_codes
 from repro.missingness.patterns import inject_biased_removal, inject_mcar
 from repro.missingness.recoverability import attribute_selection_bias, mi_is_recoverable
@@ -94,7 +94,7 @@ class TestIPW:
     def test_weights_cover_all_rows(self, numeric_table):
         injected = inject_biased_removal(numeric_table, ["value"], fraction=0.3)
         frame = encode_table(injected)
-        weights = compute_ipw_weights(frame, "value", ["group"])
+        weights = compute_ipw_weights_batched(frame, ["value"], ["group"])["value"]
         assert len(weights.weights) == injected.n_rows
         assert (weights.weights > 0).all()
         assert weights.selection_rate == pytest.approx(0.7)
@@ -107,7 +107,7 @@ class TestIPW:
         mask = [(g == "A" and i % 2 == 0) for i, g in enumerate(table.column("group").to_list())]
         injected = table.with_column(table.column("value").with_missing(mask))
         frame = encode_table(injected)
-        weights = compute_ipw_weights(frame, "value", ["group"])
+        weights = compute_ipw_weights_batched(frame, ["value"], ["group"])["value"]
         groups = np.array(table.column("group").to_list())
         observed = frame.observed_mask("value")
         mean_a = weights.weights[(groups == "A") & observed].mean()
@@ -116,13 +116,13 @@ class TestIPW:
 
     def test_no_missing_gives_unit_weights(self, numeric_table):
         frame = encode_table(numeric_table)
-        weights = compute_ipw_weights(frame, "value", ["group"])
+        weights = compute_ipw_weights_batched(frame, ["value"], ["group"])["value"]
         assert np.allclose(weights.weights, 1.0)
 
     def test_invalid_clip_raises(self, numeric_table):
         frame = encode_table(numeric_table)
         with pytest.raises(MissingDataError):
-            compute_ipw_weights(frame, "value", ["group"], clip=0.0)
+            compute_ipw_weights_batched(frame, ["value"], ["group"], clip=0.0)
 
 
 class TestRecoverability:

@@ -1,4 +1,4 @@
-"""Tests for the parallel batch executor and the fast-kernel oracle wiring."""
+"""Tests for the parallel batch executor and the kernel-vs-reference wiring."""
 
 import json
 
@@ -10,6 +10,8 @@ from repro.engine import ExplanationPipeline, resolve_n_jobs
 from repro.exceptions import ConfigurationError, ExplanationError
 from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
+
+from oracles import ReferenceExplanationProblem, install_reference_estimators
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +210,13 @@ class TestFitCacheWriteBack:
 
 class TestKernelOracleWiring:
     def test_kernel_and_legacy_modes_agree(self, covid_bundle, covid_queries,
-                                           serial_results):
+                                           serial_results, monkeypatch):
+        install_reference_estimators(monkeypatch)
         pipeline = ExplanationPipeline(
             covid_bundle.table, covid_bundle.knowledge_graph,
-            covid_bundle.extraction_specs,
-            config=_config(covid_bundle, use_fast_kernel=False))
+            covid_bundle.extraction_specs, config=_config(covid_bundle))
         legacy = pipeline.explain_many(covid_queries, k=3)
+        assert isinstance(legacy[0].problem, ReferenceExplanationProblem)
         assert [r.attributes for r in legacy] == \
             [r.attributes for r in serial_results]
         assert [r.explanation.explainability for r in legacy] == pytest.approx(
@@ -232,9 +235,8 @@ class TestKernelOracleWiring:
                 problem.cmi(list(given) + [attribute]), abs=1e-12)
 
     def test_score_candidates_legacy_mode(self, confounded_table, confounded_query):
-        problem = CorrelationExplanationProblem(
-            confounded_table, confounded_query, ["Wealth", "Noise"],
-            use_kernel=False)
+        problem = ReferenceExplanationProblem(
+            confounded_table, confounded_query, ["Wealth", "Noise"])
         fast = CorrelationExplanationProblem(
             confounded_table, confounded_query, ["Wealth", "Noise"])
         legacy_scores = problem.score_candidates(["Wealth", "Noise"])
