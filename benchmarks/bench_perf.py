@@ -17,9 +17,10 @@ A third phase benchmarks the **batched inference backend** on an IPW-heavy
 + permutation-heavy scenario (selection-bias handling on, a large
 responsibility-test permutation budget, query groups sharing contexts —
 the serving shape): the pre-optimisation inference path (one
-``contingency_cmi`` per permutation and one selection model per
+``contingency_cmi`` per permutation and one dense-design Newton fit per
 attribute, :func:`oracles.install_pre_blocked_inference`) against the
-blocked-permutation + fit-cache path, with all seven explainers verified
+blocked-permutation + fit-cache path (one multi-label fit over the design's
+nonzeros per batch of misses), with all seven explainers verified
 equal between the modes (early exit off).  Phase-level timings
 (``ipw_fit_s``, ``permutation_s``) are recorded per mode so future
 changes can gate per phase; the combined phase wall-clock gates at

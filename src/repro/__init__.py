@@ -52,7 +52,13 @@ sampled in blocks, one shared ``bincount`` per block, bit-identical
 p-values) and IPW selection fits on the fit cache
 (:mod:`repro.missingness.fitcache` — fits memoised by observed-mask hash +
 design signature, uncached attributes batched into one multi-label IRLS
-solve).  ``context.counters['ipw_fit_hit']`` / ``['ipw_fit_miss']`` count
+solve).  That solve reaches the one-hot design only through its nonzeros
+(:class:`repro.missingness.logistic.SparseDesign`): CSR products give the
+linear predictors and gradients, and one sparse x dense product with a
+pair operator gives every label's Hessian, so an iteration costs
+``O(n k^2)`` per label for ``k`` nonzeros per row (one per predictor plus
+the intercept) rather than ``O(n d^2)`` over the ``d`` design columns.
+``context.counters['ipw_fit_hit']`` / ``['ipw_fit_miss']`` count
 fit reuse, and ``context.stage_seconds['ipw_fit']`` /
 ``['permutation_test']`` carry the phase timings; a serving deployment
 surfaces all of them via ``GET /stats``.
@@ -61,11 +67,12 @@ These are the only estimation paths.  The row-wise reference estimators
 (:mod:`repro.infotheory.entropy` / :mod:`repro.infotheory.mutual_information`)
 run only as the kernel's fallback for code spaces too wide to count
 densely; the tests and ``benchmarks/bench_perf.py`` use them, together
-with the pre-optimisation permutation loop and per-attribute IPW fits
-kept in ``tests/oracles.py``, as oracles.  The benchmark records each
-speedup in ``BENCH_perf.json`` (``speedup`` for the kernel, CI gates on
->= 3x; ``ipw_perm.phase_speedup`` for the ipw+permutation phase, >= 2x)
-with per-method equivalence verdicts under ``explainers``.
+with the pre-optimisation permutation loop and the per-attribute and
+dense-Hessian IPW fits kept in ``tests/oracles.py``, as oracles.  The
+benchmark records each speedup in ``BENCH_perf.json`` (``speedup`` for
+the kernel, CI gates on >= 3x; ``ipw_perm.phase_speedup`` for the
+ipw+permutation phase, >= 2x) with per-method equivalence verdicts under
+``explainers``.
 
 The speed knobs on :class:`MESAConfig`:
 
@@ -180,7 +187,8 @@ re-derives the exact draws a fixed run would have made — and the
 ``"argsort"`` stream, like the legacy one, draws each chunk from the
 start of its per-chunk stream, so both streams stay shard-deterministic),
 and IPW selection fits solved by distributed IRLS (per-shard ``X'WX`` /
-``X'Wz`` partials, coefficients matching the local solver to 1e-7).
+``X'(s - p)`` partials from each shard's design nonzeros, merged into the
+local solver's Newton loop; coefficients match the local solver to 1e-7).
 Every worker holds only ``O(rows / N)`` of the table, so the cluster
 serves tables no single worker could hold; ``stats()`` reports each
 worker's role and resident row count.  ``python -m repro.serving

@@ -21,10 +21,14 @@ rounds:
   stream (:func:`repro.utils.rng.derive_seed` over the shard index and
   block index), so verdicts are reproducible for any shard count;
 * **IRLS** — the IPW selection fits decompose per Newton step into
-  per-shard ``X'WX`` / ``X'(s - p)`` partials; the coordinator merges,
-  applies the ridge penalty, solves and rebroadcasts beta, following the
-  same trajectory as :func:`repro.missingness.logistic.fit_logistic_multi`
-  to numerical tolerance.
+  per-shard ``X'WX`` / ``X'(s - p)`` partials, which each shard assembles
+  from the nonzeros of its one-hot design slice
+  (:class:`repro.missingness.logistic.SparseDesign`, built once per fit);
+  the coordinator merges them and runs the same Newton loop as
+  :func:`repro.missingness.logistic.fit_logistic_multi`
+  (:func:`repro.missingness.logistic.drive_irls`: ridge penalty, solve,
+  rebroadcast beta), following the same trajectory up to float summation
+  order.
 
 :class:`~repro.distributed.coordinator.ShardPool` owns the worker
 processes (reusing the :class:`~repro.serving.cluster.ServiceCluster`

@@ -49,7 +49,7 @@ from repro.distributed.partition import row_ranges
 from repro.distributed.worker import _shard_worker_main
 from repro.exceptions import ConfigurationError
 from repro.infotheory import permutation
-from repro.missingness.logistic import LogisticRegression
+from repro.missingness.logistic import LogisticRegression, drive_irls
 from repro.obs import trace
 
 #: Retire the least-recently-used shard context beyond this many (matches
@@ -638,14 +638,12 @@ class ShardPool:
         predictor slices (global ``cards`` pin the columns) and hold their
         label slice for the fit's duration; each Newton step scatters the
         active beta and gathers ``X'(s - p)`` / ``X'WX`` partials, which
-        :func:`repro.distributed.irls.drive_irls` merges, penalises and
-        solves.  Raises :class:`~repro.distributed.ipc.WorkerDiedError` if
+        :func:`repro.missingness.logistic.drive_irls` merges, penalises
+        and solves.  Raises :class:`~repro.distributed.ipc.WorkerDiedError` if
         a shard dies mid-fit — per-fit worker state is not replayed;
         callers fall back to the local solver (they hold the full design
         already, for prediction).
         """
-        from repro.distributed.irls import drive_irls
-
         labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
         with self._lock:
             self._fit_counter += 1

@@ -35,6 +35,7 @@ from repro.distributed.ipc import serve_pipe
 from repro.exceptions import ConfigurationError
 from repro.infotheory import kernel, permutation
 from repro.missingness.logistic import (
+    SparseDesign,
     logistic_partials,
     one_hot_encode_codes,
 )
@@ -274,12 +275,13 @@ def _shard_worker_main(conn, shard_index: int, n_shards: int) -> None:
             entry = store.context(ctx)
             slices = [store.column(ctx, key) for key in payload["predictors"]]
             features = one_hot_encode_codes(slices, cards=payload["cards"])
-            design = np.hstack([np.ones((len(features), 1)), features])
+            design = SparseDesign(
+                np.hstack([np.ones((len(features), 1)), features]))
             entry["fits"][payload["fit"]] = {
                 "design": design,
                 "labels": np.asarray(payload["labels"], dtype=np.float64),
             }
-            return design.shape[1]
+            return design.width
         if op == "irls_step":
             entry = store.context(payload["ctx"])
             fit = entry["fits"].get(payload["fit"])

@@ -6,26 +6,37 @@ attributes of the input dataset (Section 3.2: "a logistic regression model is
 fitted ... Data available for this are the values of the attributes in D").
 No external ML library is available offline, so the model is implemented
 here with L2-regularised Newton/IRLS optimisation.
+
+The selection design is a one-hot encoding of a few categorical attributes
+plus the intercept, so a row has at most one nonzero per attribute: a
+handful of nonzeros across tens of columns.  The Newton terms are assembled
+from that nonzero pattern only (:class:`SparseDesign`), so an iteration
+costs ``O(n k^2)`` per label for ``k`` nonzeros per row instead of the
+``O(n d^2)`` of a dense Gram product over ``d`` columns.
+:func:`drive_irls` is the one Newton loop: :func:`fit_logistic_multi` runs
+it on whole-table partials (:func:`logistic_partials`), the row-sharded
+data plane (:mod:`repro.distributed`) on partials merged across shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.exceptions import MissingDataError
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function.
+
+    ``1 / (1 + e^-z)`` for ``z >= 0`` and ``e^z / (1 + e^z)`` below, both
+    from the one ``e^-|z|``, so no branch overflows.
+    """
+    exp_z = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, exp_z) / (1.0 + exp_z)
 
 
 @dataclass
@@ -54,74 +65,18 @@ class LogisticRegression:
 
     def fit(self, features: np.ndarray, labels: np.ndarray,
             row_groups: Optional[np.ndarray] = None) -> "LogisticRegression":
-        """Fit the model on a dense feature matrix and 0/1 labels.
+        """Fit the model on a feature matrix and 0/1 labels.
 
-        ``row_groups`` optionally maps each row to the id (``0..k-1``) of
-        its distinct feature combination.  One-hot designs over a handful
-        of categorical predictors have far fewer distinct rows than rows;
-        collapsing duplicates into binomial groups (``t_i`` trials,
-        ``s_i`` successes per distinct row) yields the identical gradient
-        and Hessian at every beta, so Newton follows the same trajectory
-        at a fraction of the per-iteration cost.  The IPW layer fits one
-        selection model per biased attribute over the *same* features, so
-        the caller computes the grouping once and reuses it for every fit.
+        The one-label case of :func:`fit_logistic_multi`, which documents
+        ``row_groups`` (the binomial collapse of duplicate rows).
         """
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.float64)
-        if features.ndim != 2:
-            raise MissingDataError(f"features must be 2-dimensional, got shape {features.shape}")
-        if len(features) != len(labels):
-            raise MissingDataError(
-                f"features ({len(features)} rows) and labels ({len(labels)}) differ in length"
-            )
-        if not np.isin(labels, (0.0, 1.0)).all():
-            raise MissingDataError("labels must be binary (0/1)")
-        n_rows, n_features = features.shape
-        design = np.hstack([np.ones((n_rows, 1)), features])
-        beta = np.zeros(n_features + 1)
-        penalty = np.full(n_features + 1, self.l2)
-        penalty[0] = 0.0  # do not penalise the intercept
-
-        # Degenerate labels (all 0 or all 1) have no unique MLE; fall back to
-        # the intercept-only model at the empirical rate.
-        if labels.min() == labels.max():
-            rate = float(np.clip(labels.mean(), 1e-6, 1 - 1e-6))
-            beta[0] = np.log(rate / (1 - rate))
-            self._store(beta, converged=True, iterations=0)
-            return self
-
-        totals = np.ones(n_rows)
-        successes = labels
-        if row_groups is not None:
-            row_groups = np.asarray(row_groups, dtype=np.int64)
-            if len(row_groups) != n_rows:
-                raise MissingDataError(
-                    f"row_groups ({len(row_groups)} rows) and features "
-                    f"({n_rows}) differ in length")
-            n_groups = int(row_groups.max()) + 1 if n_rows else 0
-            if 0 < n_groups <= n_rows // 2:
-                # First-occurrence representative of each group (O(n)).
-                representatives = np.zeros(n_groups, dtype=np.int64)
-                representatives[row_groups[::-1]] = np.arange(n_rows - 1, -1, -1)
-                design = design[representatives]
-                totals = np.bincount(row_groups, minlength=n_groups).astype(np.float64)
-                successes = np.bincount(row_groups, weights=labels, minlength=n_groups)
-
-        for iteration in range(1, self.max_iter + 1):
-            linear = design @ beta
-            probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
-            weights = totals * probabilities * (1.0 - probabilities)
-            gradient = design.T @ (successes - totals * probabilities) - penalty * beta
-            hessian = (design * weights[:, None]).T @ design + np.diag(penalty + 1e-12)
-            try:
-                step = np.linalg.solve(hessian, gradient)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
-            beta = beta + step
-            if np.max(np.abs(step)) < self.tol:
-                self._store(beta, converged=True, iterations=iteration)
-                return self
-        self._store(beta, converged=False, iterations=self.max_iter)
+        labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+        fitted = fit_logistic_multi(features, labels, row_groups, l2=self.l2,
+                                    max_iter=self.max_iter, tol=self.tol)[0]
+        self.intercept_ = fitted.intercept_
+        self.coefficients_ = fitted.coefficients_
+        self.converged_ = fitted.converged_
+        self.n_iterations_ = fitted.n_iterations_
         return self
 
     def _store(self, beta: np.ndarray, converged: bool, iterations: int) -> None:
@@ -142,6 +97,162 @@ class LogisticRegression:
         return (self.predict_proba(features) >= threshold).astype(np.int64)
 
 
+class SparseDesign:
+    """An intercept-augmented design matrix, reached only through its nonzeros.
+
+    Built once per fit.  ``matrix`` (CSR, ``(n, d)``) evaluates the linear
+    predictors ``X @ beta`` and its transpose the gradients ``X^T r``.
+    ``pairs`` is the ``(d * d, n)`` pair operator: row ``i`` adds
+    ``X[i, a] * X[i, b]`` to cell ``a * d + b`` for each pair ``a <= b`` of
+    its nonzero columns, so ``pairs @ W`` is the upper triangle of
+    ``X^T diag(W[:, l]) X`` for every column ``l`` of ``W`` in one sparse x
+    dense product.  With ``k`` nonzeros per row that costs ``n k (k + 1) / 2``
+    multiply-adds per label, independent of ``d``.
+    """
+
+    def __init__(self, design: np.ndarray):
+        matrix = sparse.csr_matrix(np.asarray(design, dtype=np.float64))
+        n_rows, width = matrix.shape
+        counts = np.diff(matrix.indptr)
+        # Each row's nonzeros left-aligned in ``slots`` columns; CSR keeps
+        # them in ascending column order, so slot p <= q means a <= b.
+        slots = int(counts.max()) if n_rows else 0
+        rows = np.repeat(np.arange(n_rows), counts)
+        offsets = np.arange(matrix.nnz) - matrix.indptr[rows]
+        columns = np.zeros((n_rows, slots), dtype=np.int64)
+        values = np.zeros((n_rows, slots))
+        columns[rows, offsets] = matrix.indices
+        values[rows, offsets] = matrix.data
+        first, second = np.triu_indices(slots)
+        present = second[None, :] < counts[:, None]
+        cells = (columns[:, first] * width + columns[:, second])[present]
+        products = (values[:, first] * values[:, second])[present]
+        pair_rows = np.repeat(np.arange(n_rows), counts * (counts + 1) // 2)
+        self.width = width
+        self.matrix = matrix
+        self.pairs = sparse.csr_matrix((products, (cells, pair_rows)),
+                                       shape=(width * width, n_rows))
+        self._below = np.tril_indices(width, -1)
+
+    def hessians(self, weights: np.ndarray) -> np.ndarray:
+        """``X^T diag(weights[:, l]) X`` for every column ``l``: ``(L, d, d)``."""
+        hessians = np.ascontiguousarray(
+            (self.pairs @ weights).T).reshape(-1, self.width, self.width)
+        lower, upper = self._below
+        hessians[:, lower, upper] = hessians[:, upper, lower]
+        return hessians
+
+
+def logistic_partials(design: SparseDesign, successes: np.ndarray,
+                      beta: np.ndarray, totals: Optional[np.ndarray] = None,
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpenalised Newton partials: gradients and Hessians.
+
+    ``design`` covers some rows of the intercept-augmented design,
+    ``successes`` is their ``(n, L)`` label slice, ``beta`` the current
+    ``(d, L)`` coefficients and ``totals`` the binomial trials per row (one
+    each when omitted, i.e. rows not collapsed into groups).  Returns
+    ``(gradients, hessians)`` of shapes ``(d, L)`` and ``(L, d, d)``: the
+    ``X^T (s - t p)`` and ``X^T diag(t p (1 - p)) X`` terms, with no
+    penalty (:func:`drive_irls` applies it once).  Both terms are sums over
+    rows, so the partials of a row partition, merged, equal the
+    whole-table terms up to float summation order.
+    """
+    successes = np.asarray(successes, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    if totals is None:
+        totals = np.ones(len(successes))
+    probabilities = np.clip(_sigmoid(design.matrix @ beta), 1e-9, 1 - 1e-9)
+    weights = totals[:, None] * probabilities * (1.0 - probabilities)
+    gradients = design.matrix.T @ (successes - totals[:, None] * probabilities)
+    return gradients, design.hessians(weights)
+
+
+#: ``step(beta_active, active_idx) -> (gradients, hessians)`` — the
+#: unpenalised partials of shapes ``(d, A)`` and ``(A, d, d)``.
+StepFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def drive_irls(step: StepFn, labels_matrix: np.ndarray, n_coefficients: int,
+               l2: float = 1e-3, max_iter: int = 50,
+               tol: float = 1e-8) -> List[LogisticRegression]:
+    """The multi-label Newton loop, over partials computed by ``step``.
+
+    Iterates ``beta += solve(X' W X + diag(penalty), X'(s - p) - penalty *
+    beta)`` for every still-active label at once, with one batched
+    ``np.linalg.solve`` over the stacked ``(A, d, d)`` Hessians (per label
+    ``solve``, then ``lstsq``, when a Hessian is singular).
+    ``labels_matrix`` is the full ``(n, L)`` 0/1 label matrix: degenerate
+    labels (all 0 or all 1) get the intercept-only model at their
+    empirical rate without consuming a ``step``, and a label whose largest
+    step falls below ``tol`` is frozen while the loop continues with the
+    rest.  ``n_coefficients`` is the design width *including* the
+    intercept.
+    """
+    labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
+    if labels_matrix.ndim != 2:
+        raise MissingDataError(
+            f"labels_matrix must be 2-dimensional, got shape "
+            f"{labels_matrix.shape}")
+    if not np.isin(labels_matrix, (0.0, 1.0)).all():
+        raise MissingDataError("labels must be binary (0/1)")
+    n_rows, n_labels = labels_matrix.shape
+    models = [LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
+              for _ in range(n_labels)]
+    if n_labels == 0:
+        return models
+    penalty = np.full(n_coefficients, l2)
+    penalty[0] = 0.0  # do not penalise the intercept
+    beta = np.zeros((n_coefficients, n_labels))
+
+    active: List[int] = []
+    for label in range(n_labels):
+        column = labels_matrix[:, label]
+        if n_rows == 0 or column.min() == column.max():
+            rate = float(np.clip(column.mean() if n_rows else 0.5,
+                                 1e-6, 1 - 1e-6))
+            frozen = np.zeros(n_coefficients)
+            frozen[0] = np.log(rate / (1 - rate))
+            models[label]._store(frozen, converged=True, iterations=0)
+            beta[:, label] = frozen
+        else:
+            active.append(label)
+    active_idx = np.array(active, dtype=np.int64)
+
+    for iteration in range(1, max_iter + 1):
+        if not len(active_idx):
+            break
+        current = beta[:, active_idx]
+        gradients, hessians = step(current, active_idx)
+        gradients = np.asarray(gradients, dtype=np.float64) \
+            - penalty[:, None] * current
+        hessians = np.asarray(hessians, dtype=np.float64) \
+            + np.diag(penalty + 1e-12)[None, :, :]
+        try:
+            steps = np.linalg.solve(hessians, gradients.T[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            steps = np.empty((len(active_idx), n_coefficients))
+            for position in range(len(active_idx)):
+                try:
+                    steps[position] = np.linalg.solve(
+                        hessians[position], gradients[:, position])
+                except np.linalg.LinAlgError:
+                    steps[position] = np.linalg.lstsq(
+                        hessians[position], gradients[:, position],
+                        rcond=None)[0]
+        beta[:, active_idx] = current + steps.T
+        converged_now = np.abs(steps).max(axis=1) < tol
+        for position in np.flatnonzero(converged_now):
+            label = int(active_idx[position])
+            models[label]._store(beta[:, label], converged=True,
+                                 iterations=iteration)
+        active_idx = active_idx[~converged_now]
+    for label in active_idx:
+        models[int(label)]._store(beta[:, int(label)], converged=False,
+                                  iterations=max_iter)
+    return models
+
+
 def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
                        row_groups: Optional[np.ndarray] = None,
                        l2: float = 1e-3, max_iter: int = 50,
@@ -149,24 +260,24 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
     """Fit one logistic model per column of ``labels_matrix`` in one solve.
 
     The IPW layer fits a selection model per biased attribute over the
-    *same* design matrix; running those fits one by one repeats the whole
-    Newton machinery per attribute.  This multi-label IRLS path batches the
-    per-iteration work across all labels:
+    *same* design matrix, so the Newton work is batched across labels:
+    the design is wrapped once in a :class:`SparseDesign`, and every
+    iteration of :func:`drive_irls` evaluates all active labels' linear
+    predictors and gradients with one CSR product each, all their
+    Hessians ``X^T diag(w_l) X`` with one product of the pair operator, and
+    all their Newton steps with one batched solve.  The Hessian cost scales
+    with the nonzeros per row (at most one per one-hot attribute, plus the
+    intercept), not with the design width.
 
-    * one ``design @ Beta`` matmul evaluates every label's linear
-      predictor;
-    * one ``einsum`` assembles every label's Hessian
-      ``X^T diag(w_l) X``;
-    * one *batched* ``np.linalg.solve`` over the stacked ``(L, d, d)``
-      Hessians performs every label's Newton step.
-
-    Per label, every iteration computes exactly the quantities of
-    :meth:`LogisticRegression.fit` (same grouping decision, same degenerate
-    fallback, same per-label convergence test on the step norm), so each
-    returned model follows the same Newton trajectory as an individual fit
-    up to floating-point summation order — coefficients agree to well below
-    the tolerances the estimators care about.  Labels that converge are
-    frozen; the loop continues with the still-active columns only.
+    ``row_groups`` optionally maps each row to the id (``0..k-1``) of its
+    distinct feature combination.  One-hot designs over a handful of
+    categorical predictors often have far fewer distinct rows than rows;
+    when there are at most half as many groups as rows, duplicates collapse
+    into binomial groups (``t_i`` trials, ``s_i`` successes per distinct
+    row), which yields the identical gradient and Hessian at every beta, so
+    Newton follows the same trajectory at a fraction of the per-iteration
+    cost.  The caller computes the grouping once and reuses it for every
+    fit over the same features.
     """
     features = np.asarray(features, dtype=np.float64)
     labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
@@ -183,31 +294,12 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
         raise MissingDataError("labels must be binary (0/1)")
     n_rows, n_features = features.shape
     n_labels = labels_matrix.shape[1]
-    models = [LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
-              for _ in range(n_labels)]
     if n_labels == 0:
-        return models
+        return []
     design = np.hstack([np.ones((n_rows, 1)), features])
-    penalty = np.full(n_features + 1, l2)
-    penalty[0] = 0.0
-    beta = np.zeros((n_features + 1, n_labels))
-
-    active: List[int] = []
-    for label in range(n_labels):
-        column = labels_matrix[:, label]
-        if n_rows == 0 or column.min() == column.max():
-            rate = float(np.clip(column.mean() if n_rows else 0.5, 1e-6, 1 - 1e-6))
-            frozen = np.zeros(n_features + 1)
-            frozen[0] = np.log(rate / (1 - rate))
-            models[label]._store(frozen, converged=True, iterations=0)
-            beta[:, label] = frozen
-        else:
-            active.append(label)
-    active_idx = np.array(active, dtype=np.int64)
-
     totals = np.ones(n_rows)
     successes = labels_matrix
-    if row_groups is not None and len(active_idx):
+    if row_groups is not None:
         row_groups = np.asarray(row_groups, dtype=np.int64)
         if len(row_groups) != n_rows:
             raise MissingDataError(
@@ -215,6 +307,7 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
                 f"({n_rows}) differ in length")
         n_groups = int(row_groups.max()) + 1 if n_rows else 0
         if 0 < n_groups <= n_rows // 2:
+            # First-occurrence representative of each group (O(n)).
             representatives = np.zeros(n_groups, dtype=np.int64)
             representatives[row_groups[::-1]] = np.arange(n_rows - 1, -1, -1)
             design = design[representatives]
@@ -223,46 +316,13 @@ def fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
                 [np.bincount(row_groups, weights=labels_matrix[:, label],
                              minlength=n_groups)
                  for label in range(n_labels)], axis=1)
+    design = SparseDesign(design)
 
-    for iteration in range(1, max_iter + 1):
-        if not len(active_idx):
-            break
-        current = beta[:, active_idx]
-        linear = design @ current
-        probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
-        weights = totals[:, None] * probabilities * (1.0 - probabilities)
-        gradients = design.T @ (successes[:, active_idx]
-                                - totals[:, None] * probabilities) \
-            - penalty[:, None] * current
-        # Batched X^T diag(w_l) X via stacked GEMMs: (A, d, n) @ (A, n, d).
-        weighted = design[None, :, :] * weights.T[:, :, None]
-        hessians = np.matmul(
-            np.broadcast_to(design.T, (len(active_idx),) + design.T.shape),
-            weighted)
-        hessians += np.diag(penalty + 1e-12)[None, :, :]
-        try:
-            steps = np.linalg.solve(hessians, gradients.T[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            steps = np.empty((len(active_idx), n_features + 1))
-            for position in range(len(active_idx)):
-                try:
-                    steps[position] = np.linalg.solve(
-                        hessians[position], gradients[:, position])
-                except np.linalg.LinAlgError:
-                    steps[position] = np.linalg.lstsq(
-                        hessians[position], gradients[:, position], rcond=None)[0]
-        updated = current + steps.T
-        beta[:, active_idx] = updated
-        converged_now = np.abs(steps).max(axis=1) < tol
-        for position in np.flatnonzero(converged_now):
-            label = int(active_idx[position])
-            models[label]._store(beta[:, label], converged=True,
-                                 iterations=iteration)
-        active_idx = active_idx[~converged_now]
-    for label in active_idx:
-        models[int(label)]._store(beta[:, int(label)], converged=False,
-                                  iterations=max_iter)
-    return models
+    def step(beta: np.ndarray, active_idx: np.ndarray):
+        return logistic_partials(design, successes[:, active_idx], beta, totals)
+
+    return drive_irls(step, labels_matrix, n_features + 1,
+                      l2=l2, max_iter=max_iter, tol=tol)
 
 
 def one_hot_encode_codes(code_arrays: List[np.ndarray],
@@ -309,31 +369,3 @@ def one_hot_encode_codes(code_arrays: List[np.ndarray],
     if not blocks:
         return np.zeros((n, 0), dtype=np.float64)
     return np.hstack(blocks)
-
-
-def logistic_partials(design: np.ndarray, successes: np.ndarray,
-                      beta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-shard Newton partials: unpenalised gradients and Hessians.
-
-    ``design`` is this shard's slice of the (intercept-augmented) design
-    matrix, ``successes`` its ``(n, L)`` label slice, and ``beta`` the
-    current ``(d, L)`` coefficients broadcast by the coordinator.  Returns
-    ``(gradients, hessians)`` of shapes ``(d, L)`` and ``(L, d, d)`` —
-    exactly the ``X^T (s - p)`` and ``X^T diag(w) X`` terms of
-    :func:`fit_logistic_multi` restricted to this shard's rows, with no
-    penalty (the coordinator applies it once after merging).  Both terms
-    are sums over rows, so the merged partials of any row partition equal
-    the whole-table quantities up to float summation order.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    successes = np.asarray(successes, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
-    linear = design @ beta
-    probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
-    weights = probabilities * (1.0 - probabilities)
-    gradients = design.T @ (successes - probabilities)
-    weighted = design[None, :, :] * weights.T[:, :, None]
-    hessians = np.matmul(
-        np.broadcast_to(design.T, (beta.shape[1],) + design.T.shape),
-        weighted)
-    return gradients, hessians

@@ -9,7 +9,12 @@ keeps the computations they replaced, for the tests and for
   row-wise estimators of :mod:`repro.infotheory.mutual_information`;
 * :func:`loop_independence_test` — the kernel test with one
   ``contingency_cmi`` per permutation instead of the blocked engine;
-* :func:`compute_ipw_weights` — one logistic selection model per attribute;
+* :func:`compute_ipw_weights` — one logistic selection model per attribute,
+  each fitted by :func:`dense_logistic_fit`, the single-label Newton loop
+  over the dense design;
+* :func:`dense_fit_logistic_multi` — the multi-label Newton loop that
+  assembled every label's Hessian as a dense broadcast product over the
+  full design instead of from its nonzeros;
 * :class:`ReferenceExplanationProblem` / :class:`LoopPermutationProblem` —
   problem instances that answer from the row-wise estimators / run the
   per-permutation loop.
@@ -21,7 +26,7 @@ swap them into the engine through a ``monkeypatch`` (pytest's fixture, or
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +51,11 @@ from repro.infotheory.permutation import (
 )
 from repro.missingness import recoverability
 from repro.missingness.ipw import IPWWeights
-from repro.missingness.logistic import LogisticRegression, one_hot_encode_codes
+from repro.missingness.logistic import (
+    LogisticRegression,
+    _sigmoid,
+    one_hot_encode_codes,
+)
 from repro.utils.rng import make_rng
 
 
@@ -178,6 +187,183 @@ def reference_recoverability_test(x: np.ndarray, y: np.ndarray,
 # --------------------------------------------------------------------------- #
 # IPW selection fits
 # --------------------------------------------------------------------------- #
+def dense_logistic_fit(features: np.ndarray, labels: np.ndarray,
+                       row_groups: Optional[np.ndarray] = None,
+                       l2: float = 1e-3, max_iter: int = 50,
+                       tol: float = 1e-8) -> LogisticRegression:
+    """One label's IRLS fit on the dense design (the pre-batching loop).
+
+    Same grouping rule, degenerate fallback and convergence test as
+    :func:`repro.missingness.logistic.fit_logistic_multi`; the Hessian is
+    the dense ``(X * w)^T X`` product.
+    """
+    model = LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if features.ndim != 2:
+        raise MissingDataError(f"features must be 2-dimensional, got shape {features.shape}")
+    if len(features) != len(labels):
+        raise MissingDataError(
+            f"features ({len(features)} rows) and labels ({len(labels)}) differ in length"
+        )
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise MissingDataError("labels must be binary (0/1)")
+    n_rows, n_features = features.shape
+    design = np.hstack([np.ones((n_rows, 1)), features])
+    beta = np.zeros(n_features + 1)
+    penalty = np.full(n_features + 1, l2)
+    penalty[0] = 0.0  # do not penalise the intercept
+
+    # Degenerate labels (all 0 or all 1) have no unique MLE; fall back to
+    # the intercept-only model at the empirical rate.
+    if labels.min() == labels.max():
+        rate = float(np.clip(labels.mean(), 1e-6, 1 - 1e-6))
+        beta[0] = np.log(rate / (1 - rate))
+        model._store(beta, converged=True, iterations=0)
+        return model
+
+    totals = np.ones(n_rows)
+    successes = labels
+    if row_groups is not None:
+        row_groups = np.asarray(row_groups, dtype=np.int64)
+        if len(row_groups) != n_rows:
+            raise MissingDataError(
+                f"row_groups ({len(row_groups)} rows) and features "
+                f"({n_rows}) differ in length")
+        n_groups = int(row_groups.max()) + 1 if n_rows else 0
+        if 0 < n_groups <= n_rows // 2:
+            # First-occurrence representative of each group (O(n)).
+            representatives = np.zeros(n_groups, dtype=np.int64)
+            representatives[row_groups[::-1]] = np.arange(n_rows - 1, -1, -1)
+            design = design[representatives]
+            totals = np.bincount(row_groups, minlength=n_groups).astype(np.float64)
+            successes = np.bincount(row_groups, weights=labels, minlength=n_groups)
+
+    for iteration in range(1, max_iter + 1):
+        linear = design @ beta
+        probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
+        weights = totals * probabilities * (1.0 - probabilities)
+        gradient = design.T @ (successes - totals * probabilities) - penalty * beta
+        hessian = (design * weights[:, None]).T @ design + np.diag(penalty + 1e-12)
+        try:
+            step = np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hessian, gradient, rcond=None)[0]
+        beta = beta + step
+        if np.max(np.abs(step)) < tol:
+            model._store(beta, converged=True, iterations=iteration)
+            return model
+    model._store(beta, converged=False, iterations=max_iter)
+    return model
+
+
+def dense_fit_logistic_multi(features: np.ndarray, labels_matrix: np.ndarray,
+                             row_groups: Optional[np.ndarray] = None,
+                             l2: float = 1e-3, max_iter: int = 50,
+                             tol: float = 1e-8) -> List[LogisticRegression]:
+    """:func:`repro.missingness.logistic.fit_logistic_multi` with dense Hessians.
+
+    Every label's ``X^T diag(w_l) X`` is one GEMM in a stacked ``matmul``
+    over a stride-0 broadcast of the design, materialising an ``(L, n, d)``
+    weighted copy per iteration.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels_matrix = np.asarray(labels_matrix, dtype=np.float64)
+    if features.ndim != 2:
+        raise MissingDataError(f"features must be 2-dimensional, got shape {features.shape}")
+    if labels_matrix.ndim != 2:
+        raise MissingDataError(
+            f"labels_matrix must be 2-dimensional, got shape {labels_matrix.shape}")
+    if len(features) != len(labels_matrix):
+        raise MissingDataError(
+            f"features ({len(features)} rows) and labels_matrix "
+            f"({len(labels_matrix)}) differ in length")
+    if not np.isin(labels_matrix, (0.0, 1.0)).all():
+        raise MissingDataError("labels must be binary (0/1)")
+    n_rows, n_features = features.shape
+    n_labels = labels_matrix.shape[1]
+    models = [LogisticRegression(l2=l2, max_iter=max_iter, tol=tol)
+              for _ in range(n_labels)]
+    if n_labels == 0:
+        return models
+    design = np.hstack([np.ones((n_rows, 1)), features])
+    penalty = np.full(n_features + 1, l2)
+    penalty[0] = 0.0
+    beta = np.zeros((n_features + 1, n_labels))
+
+    active: List[int] = []
+    for label in range(n_labels):
+        column = labels_matrix[:, label]
+        if n_rows == 0 or column.min() == column.max():
+            rate = float(np.clip(column.mean() if n_rows else 0.5, 1e-6, 1 - 1e-6))
+            frozen = np.zeros(n_features + 1)
+            frozen[0] = np.log(rate / (1 - rate))
+            models[label]._store(frozen, converged=True, iterations=0)
+            beta[:, label] = frozen
+        else:
+            active.append(label)
+    active_idx = np.array(active, dtype=np.int64)
+
+    totals = np.ones(n_rows)
+    successes = labels_matrix
+    if row_groups is not None and len(active_idx):
+        row_groups = np.asarray(row_groups, dtype=np.int64)
+        if len(row_groups) != n_rows:
+            raise MissingDataError(
+                f"row_groups ({len(row_groups)} rows) and features "
+                f"({n_rows}) differ in length")
+        n_groups = int(row_groups.max()) + 1 if n_rows else 0
+        if 0 < n_groups <= n_rows // 2:
+            representatives = np.zeros(n_groups, dtype=np.int64)
+            representatives[row_groups[::-1]] = np.arange(n_rows - 1, -1, -1)
+            design = design[representatives]
+            totals = np.bincount(row_groups, minlength=n_groups).astype(np.float64)
+            successes = np.stack(
+                [np.bincount(row_groups, weights=labels_matrix[:, label],
+                             minlength=n_groups)
+                 for label in range(n_labels)], axis=1)
+
+    for iteration in range(1, max_iter + 1):
+        if not len(active_idx):
+            break
+        current = beta[:, active_idx]
+        linear = design @ current
+        probabilities = np.clip(_sigmoid(linear), 1e-9, 1 - 1e-9)
+        weights = totals[:, None] * probabilities * (1.0 - probabilities)
+        gradients = design.T @ (successes[:, active_idx]
+                                - totals[:, None] * probabilities) \
+            - penalty[:, None] * current
+        # Batched X^T diag(w_l) X via stacked GEMMs: (A, d, n) @ (A, n, d).
+        weighted = design[None, :, :] * weights.T[:, :, None]
+        hessians = np.matmul(
+            np.broadcast_to(design.T, (len(active_idx),) + design.T.shape),
+            weighted)
+        hessians += np.diag(penalty + 1e-12)[None, :, :]
+        try:
+            steps = np.linalg.solve(hessians, gradients.T[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            steps = np.empty((len(active_idx), n_features + 1))
+            for position in range(len(active_idx)):
+                try:
+                    steps[position] = np.linalg.solve(
+                        hessians[position], gradients[:, position])
+                except np.linalg.LinAlgError:
+                    steps[position] = np.linalg.lstsq(
+                        hessians[position], gradients[:, position], rcond=None)[0]
+        updated = current + steps.T
+        beta[:, active_idx] = updated
+        converged_now = np.abs(steps).max(axis=1) < tol
+        for position in np.flatnonzero(converged_now):
+            label = int(active_idx[position])
+            models[label]._store(beta[:, label], converged=True,
+                                 iterations=iteration)
+        active_idx = active_idx[~converged_now]
+    for label in active_idx:
+        models[int(label)]._store(beta[:, int(label)], converged=False,
+                                  iterations=max_iter)
+    return models
+
+
 def compute_ipw_weights(frame: EncodedFrame, attribute: str,
                         predictor_columns: Sequence[str],
                         clip: float = 10.0,
@@ -202,8 +388,8 @@ def compute_ipw_weights(frame: EncodedFrame, attribute: str,
                           selection_rate=selection_rate, model_converged=True)
     if features is None:
         features = one_hot_encode_codes([frame.codes(column) for column in predictor_columns])
-    model = LogisticRegression(l2=l2)
-    model.fit(features, observed.astype(np.float64), row_groups=row_groups)
+    model = dense_logistic_fit(features, observed.astype(np.float64),
+                               row_groups=row_groups, l2=l2)
     predicted = np.clip(model.predict_proba(features), 1e-3, 1.0)
     raw = np.clip(selection_rate / predicted, 0.0, clip)
     weights[observed] = raw[observed]
