@@ -114,6 +114,12 @@ class PipelineContext:
         # batch workers concurrently; the read-modify-write increments and
         # the observability snapshots need a lock to stay exact.
         self._counter_lock = threading.Lock()
+        # Held while the extraction and offline-pruning artefacts are built:
+        # a serving re-warm builds them on its own thread while the batch
+        # worker answers a live query, and the second caller must wait for
+        # the first build, not repeat it.  Re-entrant because pruning reads
+        # the augmented table.
+        self._artefact_lock = threading.RLock()
         self.hooks: List[StageHook] = []
         self._extraction: Dict[int, Tuple[Table, Tuple[ExtractionResult, ...]]] = {}
         #: Per-column offline verdicts (``None`` = kept, else the drop
@@ -283,6 +289,13 @@ class PipelineContext:
         return names
 
     def _extraction_for(self, hops: int) -> Tuple[Table, Tuple[ExtractionResult, ...]]:
+        built = self._extraction.get(hops)
+        if built is not None:
+            return built
+        with self._artefact_lock:
+            return self._build_extraction(hops)
+
+    def _build_extraction(self, hops: int) -> Tuple[Table, Tuple[ExtractionResult, ...]]:
         if hops not in self._extraction:
             self.count("extraction_runs")
             augmented = self.table
@@ -318,6 +331,22 @@ class PipelineContext:
         column is a sort the pipeline would otherwise pay per dataset).
         """
         key = (hops, max_missing_fraction, high_entropy_unique_ratio)
+        verdicts = self._offline.get(key, {})
+        if any(name not in verdicts for name in candidates):
+            with self._artefact_lock:
+                verdicts = self._judge_offline(key, candidates)
+        kept = [name for name in candidates
+                if name in verdicts and verdicts[name] is None]
+        dropped = {name: verdicts[name] for name in candidates
+                   if verdicts.get(name) is not None
+                   and verdicts[name] is not _ABSENT_COLUMN}
+        return PruningResult(kept=kept, dropped=dropped)
+
+    def _judge_offline(self, key: Tuple[int, float, float],
+                       candidates: Sequence[str]) -> Dict[str, Optional[str]]:
+        """Judge the candidates without a cached verdict; returns the
+        verdict map.  Called with the artefact lock held."""
+        hops, max_missing_fraction, high_entropy_unique_ratio = key
         verdicts = self._offline.setdefault(key, {})
         todo = [name for name in candidates if name not in verdicts]
         if todo:
@@ -336,12 +365,7 @@ class PipelineContext:
                 # historical contract); remember the verdict so they are
                 # not re-probed on every call.
                 verdicts.setdefault(name, _ABSENT_COLUMN)
-        kept = [name for name in candidates
-                if name in verdicts and verdicts[name] is None]
-        dropped = {name: verdicts[name] for name in candidates
-                   if verdicts.get(name) is not None
-                   and verdicts[name] is not _ABSENT_COLUMN}
-        return PruningResult(kept=kept, dropped=dropped)
+        return verdicts
 
     # ------------------------------------------------------------------ #
     # encoded-frame cache (across queries)

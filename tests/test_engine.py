@@ -95,6 +95,47 @@ class TestPipeline:
         context.offline_pruning(["Nope"])
         assert context.counters["offline_pruning_runs"] == 3
 
+    def test_concurrent_callers_build_artefacts_once(self, covid_bundle,
+                                                     monkeypatch):
+        """A thread asking for the augmented table or offline verdicts
+        while another builds them waits for that build instead of
+        repeating it (a serving re-warm beside a live query)."""
+        import threading
+        import time
+
+        from repro.kg.extraction import AttributeExtractor
+
+        entered, release = threading.Event(), threading.Event()
+        augment = AttributeExtractor.augment
+
+        def slow_augment(self, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                release.wait(10)
+            return augment(self, *args, **kwargs)
+
+        monkeypatch.setattr(AttributeExtractor, "augment", slow_augment)
+        context = PipelineContext(covid_bundle.table,
+                                  covid_bundle.knowledge_graph,
+                                  covid_bundle.extraction_specs)
+        candidates = list(covid_bundle.table.column_names)
+        results = {}
+        builder = threading.Thread(target=lambda: results.setdefault(
+            "table", context.augmented_table()))
+        builder.start()
+        assert entered.wait(10)
+        judge = threading.Thread(target=lambda: results.setdefault(
+            "pruning", context.offline_pruning(candidates)))
+        judge.start()
+        time.sleep(0.2)  # the judge reaches the build while it is running
+        release.set()
+        builder.join(10)
+        judge.join(10)
+        assert context.counters["extraction_runs"] == 1
+        assert context.counters["offline_pruning_runs"] == 1
+        assert results["table"] is context.augmented_table()
+        assert results["pruning"].kept
+
     def test_prepare_is_memoised(self, covid_pipeline, covid_bundle):
         query = covid_bundle.queries[0].query
         first = covid_pipeline.prepare(query)
