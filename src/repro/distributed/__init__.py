@@ -30,9 +30,9 @@ rounds:
   rebroadcast beta), following the same trajectory up to float summation
   order.
 
-:class:`~repro.distributed.coordinator.ShardPool` owns the worker
-processes (reusing the :class:`~repro.serving.cluster.ServiceCluster`
-pipe machinery via :mod:`repro.distributed.ipc`);
+:class:`~repro.distributed.coordinator.ShardPool` owns the shard
+workers through :class:`repro.distributed.ipc.WorkerPool`, the process
+pool the serving cluster and the process batch backend also run on;
 :class:`~repro.distributed.problem.ShardedExplanationProblem` is the
 drop-in :class:`~repro.core.problem.CorrelationExplanationProblem` that
 routes its estimates through a pool.  ``ServiceCluster(shard="rows")``

@@ -17,7 +17,8 @@ worker-side slices), and version bumps age out stale ones naturally
 because the version participates in the key.
 
 **Restart.**  Worker state is a pure function of (shipped columns,
-shipped relabels), so the pool heals exactly like the serving cluster: a
+shipped relabels), so the pool heals through the shared
+:class:`~repro.distributed.ipc.WorkerPool` like the serving cluster: a
 dead worker is respawned blank, its per-context shipped bookkeeping is
 reset, and the failed request is retried once — the prepare step re-ships
 whatever the retried request needs.
@@ -122,8 +123,8 @@ class ShardPool:
     n_shards:
         How many shard worker processes to spawn.
     start_method:
-        ``"fork"`` / ``"spawn"`` — same semantics as
-        :class:`~repro.serving.cluster.ServiceCluster`.
+        ``"fork"`` / ``"spawn"`` (see
+        :func:`repro.distributed.ipc.resolve_start_method`).
     request_timeout:
         Seconds to wait for one worker reply before declaring it dead.
     max_contexts:
@@ -144,21 +145,17 @@ class ShardPool:
                  frame_store: Optional[Any] = None):
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-        import multiprocessing
-
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in ("fork", "spawn"):
-            raise ConfigurationError(
-                f"start_method must be 'fork' or 'spawn', got {start_method!r}")
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        #: The shard worker processes (:mod:`repro.distributed.worker`).
+        self.worker_pool = ipc.WorkerPool(
+            _shard_worker_main, lambda index: (index, n_shards), n_shards,
+            start_method=start_method, request_timeout=request_timeout,
+            name="repro-shard-worker", on_respawn=self._reset_worker,
+            role="row-shard")
+        self.start_method = self.worker_pool.start_method
         self.n_shards = n_shards
         self.request_timeout = request_timeout
         self.max_contexts = max_contexts
         self._store = frame_store
-        self._handles: List[ipc.PipeWorkerHandle] = []
         self._contexts: "OrderedDict[Tuple, ShardContext]" = OrderedDict()
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -167,8 +164,14 @@ class ShardPool:
         self._token_counter = 0
         self._fit_counter = 0
         self.requests = 0
-        self.worker_restarts = 0
-        self.request_retries = 0
+
+    @property
+    def worker_restarts(self) -> int:
+        return self.worker_pool.restarts
+
+    @property
+    def request_retries(self) -> int:
+        return self.worker_pool.retries
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -179,25 +182,12 @@ class ShardPool:
             return self
         if self._closed:
             raise ConfigurationError("ShardPool is closed")
-        self._handles = [self._spawn(index) for index in range(self.n_shards)]
+        self.worker_pool.start()
         self._executor = ThreadPoolExecutor(
             max_workers=self.n_shards,
             thread_name_prefix="repro-shard-pool")
-        for handle in self._handles:
-            ipc.request(handle, "ping", None, self.request_timeout)
         self._started = True
         return self
-
-    def _spawn(self, index: int) -> ipc.PipeWorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        process = self._mp.Process(
-            target=_shard_worker_main,
-            args=(child_conn, index, self.n_shards),
-            name=f"repro-shard-worker-{index}", daemon=True)
-        process.start()
-        child_conn.close()  # the parent keeps only its end
-        return ipc.PipeWorkerHandle(index=index, process=process,
-                                    conn=parent_conn)
 
     def close(self) -> None:
         """Shut every shard worker down (gracefully, then firmly)."""
@@ -205,29 +195,9 @@ class ShardPool:
             if self._closed:
                 return
             self._closed = True
-            handles = list(self._handles)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
-        for handle in handles:
-            if not handle.lock.acquire(timeout=2.0):
-                continue  # busy worker: skip graceful, terminate below
-            try:
-                handle.conn.send(("shutdown", None))
-                handle.conn.poll(2.0)
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            finally:
-                handle.lock.release()
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():  # pragma: no cover - stuck
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        self.worker_pool.close()
         if self._store is not None:
             # The pool does not own the store, but its shard generations
             # are dead weight once the workers are gone — retire them so a
@@ -274,7 +244,7 @@ class ShardPool:
                 _, old = self._contexts.popitem(last=False)
                 evicted.append(old)
         for old in evicted:
-            self._broadcast_best_effort("drop_ctx", {"ctx": old.key})
+            self.worker_pool.broadcast("drop_ctx", {"ctx": old.key})
             self._retire_ctx(old)
         return ctx
 
@@ -283,16 +253,9 @@ class ShardPool:
         with self._lock:
             dropped = list(self._contexts.values())
             self._contexts.clear()
-        self._broadcast_best_effort("clear", None)
+        self.worker_pool.broadcast("clear", None)
         for old in dropped:
             self._retire_ctx(old)
-
-    def _broadcast_best_effort(self, op: str, payload) -> None:
-        for handle in self._handles:
-            try:
-                ipc.request(handle, op, payload, self.request_timeout)
-            except Exception:
-                continue
 
     # ------------------------------------------------------------------ #
     # transport: prepare-and-request with restart-and-retry
@@ -384,70 +347,39 @@ class ShardPool:
                        provider: Optional[ColumnProvider],
                        retry: bool = True) -> Any:
         """Prepare, send, and — once, after a restart — retry one request."""
-        for attempt in (0, 1):
-            handle = self._handles[index]
-            generation = handle.generation
-            try:
-                with handle.lock:
-                    self._prepare_locked(ctx, handle, columns, tokens,
-                                         provider)
-                    with self._lock:
-                        self.requests += 1
-                    return ipc.request_locked(handle, op, payload,
-                                              self.request_timeout)
-            except ipc.WorkerDiedError:
-                if not retry or attempt:
-                    raise
-                self._restart(index, generation)
-                with self._lock:
-                    self.request_retries += 1
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _restart(self, index: int, observed_generation: int) -> None:
-        """Respawn a dead shard worker blank; shipped state re-ships lazily."""
-        handle = self._handles[index]
-        with handle.lock:
-            if handle.generation != observed_generation:
-                return  # another thread already replaced this process
-            if self._closed:
-                raise ipc.WorkerDiedError(
-                    f"shard worker {index} died and the pool is closed")
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.terminate()
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-            fresh = self._spawn(index)
-            handle.process = fresh.process
-            handle.conn = fresh.conn
-            handle.generation += 1
-            handle.restarts += 1
+        def prepare(handle: ipc.PipeWorkerHandle) -> None:
+            self._prepare_locked(ctx, handle, columns, tokens, provider)
             with self._lock:
-                contexts = list(self._contexts.values())
-                self.worker_restarts += 1
-            # The fresh process holds nothing: every context must re-ship
-            # to this worker before its next request.
-            for ctx in contexts:
-                ctx.shipped[index] = set()
-                ctx.relabel_shipped[index] = set()
-            if self._store is not None:
-                # The dead process can never ack a release; drop it from
-                # every generation so pending retirements drain.  The lazy
-                # re-ship re-attaches the fresh process as a reader.
-                self._store.drop_reader(index)
+                self.requests += 1
+
+        return self.worker_pool.call(index, op, payload, prepare=prepare,
+                                     retry=retry)
+
+    def _reset_worker(self, handle: ipc.PipeWorkerHandle) -> None:
+        """A respawned shard holds nothing: forget what it was shipped."""
+        index = handle.index
+        with self._lock:
+            contexts = list(self._contexts.values())
+        # Every context must re-ship to this worker before its next request.
+        for ctx in contexts:
+            ctx.shipped[index] = set()
+            ctx.relabel_shipped[index] = set()
+        if self._store is not None:
+            # The dead process can never ack a release; drop it from every
+            # generation so pending retirements drain.  The lazy re-ship
+            # re-attaches the fresh process as a reader.
+            self._store.drop_reader(index)
 
     def _scatter(self, ctx: ShardContext, op: str,
                  payload_for: Callable[[int], Any],
                  columns: Sequence[str], tokens: Sequence[str],
-                 provider: Optional[ColumnProvider]) -> List[Any]:
+                 provider: Optional[ColumnProvider],
+                 retry: bool = True) -> List[Any]:
         """Run one op on every shard concurrently; results in shard order."""
         self._ensure_running()
         if self.n_shards == 1:
             return [self._run_on_worker(ctx, 0, op, payload_for(0),
-                                        columns, tokens, provider)]
+                                        columns, tokens, provider, retry)]
         # Executor threads inherit the caller's trace (if any) so the
         # per-shard rpc spans land in the request's tree.
         captured = trace.capture()
@@ -455,7 +387,7 @@ class ShardPool:
             self._executor.submit(trace.call_with_capture, captured,
                                   self._run_on_worker, ctx, index, op,
                                   payload_for(index), columns, tokens,
-                                  provider)
+                                  provider, retry)
             for index in range(self.n_shards)]
         return [future.result() for future in futures]
 
@@ -670,18 +602,8 @@ class ShardPool:
             # No restart-and-retry: a respawned worker has no fit state,
             # so a mid-fit death aborts the distributed fit (callers fall
             # back to the local solver).
-            if self.n_shards == 1:
-                parts = [self._run_on_worker(ctx, 0, "irls_step", payload,
-                                             (), (), provider, retry=False)]
-            else:
-                captured = trace.capture()
-                futures = [
-                    self._executor.submit(trace.call_with_capture, captured,
-                                          self._run_on_worker, ctx, index,
-                                          "irls_step", payload, (), (),
-                                          provider, False)
-                    for index in range(self.n_shards)]
-                parts = [future.result() for future in futures]
+            parts = self._scatter(ctx, "irls_step", lambda index: payload,
+                                  (), (), provider, retry=False)
             gradients = np.asarray(parts[0][0], dtype=np.float64).copy()
             hessians = np.asarray(parts[0][1], dtype=np.float64).copy()
             for part in parts[1:]:
@@ -693,47 +615,18 @@ class ShardPool:
             return drive_irls(step, labels_matrix, n_coefficients,
                               l2=l2, max_iter=max_iter, tol=tol)
         finally:
-            for handle in self._handles:
-                try:
-                    ipc.request(handle, "irls_end",
-                                {"ctx": ctx.key, "fit": fit_id},
-                                self.request_timeout)
-                except Exception:
-                    continue
+            self.worker_pool.broadcast("irls_end",
+                                       {"ctx": ctx.key, "fit": fit_id})
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
         """Per-shard snapshots plus pool counters (busy workers go stale)."""
-        def probe(handle: ipc.PipeWorkerHandle) -> Dict[str, Any]:
-            if not handle.lock.acquire(timeout=2.0):
-                stale = dict(handle.last_stats or {"role": "row-shard"})
-                stale["stale"] = True
-                return stale
-            try:
-                snapshot = ipc.request_locked(handle, "stats", None,
-                                              self.request_timeout)
-                handle.last_stats = snapshot
-                return snapshot
-            except Exception as error:
-                return {"role": "row-shard",
-                        "error": f"{type(error).__name__}: {error}"}
-            finally:
-                handle.lock.release()
-
         if not self._started or self._closed:
             workers: Dict[str, Any] = {}
-        elif self.n_shards == 1:
-            workers = {"0": probe(self._handles[0])}
         else:
-            with ThreadPoolExecutor(max_workers=self.n_shards) as executor:
-                snapshots = list(executor.map(probe, self._handles))
-            workers = {str(handle.index): snapshot
-                       for handle, snapshot in zip(self._handles, snapshots)}
-        for handle, snapshot in zip(self._handles, workers.values()):
-            snapshot.setdefault("restarts", handle.restarts)
-            snapshot.setdefault("alive", handle.alive())
+            workers = self.worker_pool.stats()
         with self._lock:
             front = {
                 "n_shards": self.n_shards,
@@ -742,11 +635,9 @@ class ShardPool:
                 "requests": self.requests,
                 "worker_restarts": self.worker_restarts,
                 "request_retries": self.request_retries,
+                "broadcast_failures": self.worker_pool.broadcast_failures,
             }
         front["frame_store"] = {"enabled": self._store is not None}
         if self._store is not None:
             front["frame_store"].update(self._store.stats())
         return {"pool": front, "workers": workers}
-
-    def alive_workers(self) -> int:
-        return sum(handle.alive() for handle in self._handles)

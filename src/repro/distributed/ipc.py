@@ -1,28 +1,31 @@
-"""Pipe-based worker transport shared by the serving and data-plane tiers.
+"""Worker processes over pipes: the one process pool of the package.
 
-:class:`~repro.serving.cluster.ServiceCluster` (key-sharded replicas) and
-:class:`~repro.distributed.coordinator.ShardPool` (row shards) speak the
-same strict request/response discipline over :mod:`multiprocessing` pipes:
-one outstanding request per worker (a parent-side lock serialises the
-round-trips), replies framed as ``("ok", payload)`` or
-``("error", (type_name, args))``, liveness-aware waits, and library
-exceptions rebuilt by type in the parent.  This module is that shared
-machinery, extracted so the data plane does not reimplement (or import
-half of) the serving tier.
+Every worker process the system starts comes from :class:`WorkerPool`:
+the key-sharded replicas of :class:`~repro.serving.cluster.ServiceCluster`,
+the row shards of :class:`~repro.distributed.coordinator.ShardPool` and
+the process backend of :func:`repro.engine.parallel.explain_many_forked`.
+The pool resolves the start method, spawns the workers, restarts a dead
+one and retries the request it failed, probes them for stats and shuts
+them down; its users supply only the worker body and its arguments.
 
-``serving.cluster`` re-exports :class:`WorkerDiedError`,
-:class:`WorkerFaultError` and ``rebuild_error`` under their historical
-names, so existing callers and tests are unaffected.
+The wire discipline is strict request/response over a
+:mod:`multiprocessing` pipe: one outstanding request per worker (a
+parent-side lock serialises the round-trips), replies framed as
+``("ok", payload)`` or ``("error", (type_name, args))``, liveness-aware
+waits, and library exceptions rebuilt by type in the parent
+(:func:`rebuild_error`).  Worker bodies answer through :func:`serve_pipe`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import exceptions as _exceptions
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.obs import trace
 
 
@@ -197,8 +200,252 @@ def request_locked(handle: PipeWorkerHandle, op: str, payload,
         return result
 
 
-def request(handle: PipeWorkerHandle, op: str, payload,
-            timeout: float) -> Any:
-    """One request/response round-trip (raises worker-side errors)."""
-    with handle.lock:
-        return request_locked(handle, op, payload, timeout)
+def resolve_start_method(start_method: Optional[str]) -> str:
+    """The start method a pool uses: ``fork`` where available, else ``spawn``.
+
+    A forced method must be ``"fork"`` or ``"spawn"`` and available on
+    this platform.
+    """
+    available = multiprocessing.get_all_start_methods()
+    if start_method is None:
+        return "fork" if "fork" in available else "spawn"
+    if start_method not in ("fork", "spawn"):
+        raise ConfigurationError(
+            f"start_method must be 'fork' or 'spawn', got {start_method!r}")
+    if start_method not in available:
+        raise ConfigurationError(
+            f"start method {start_method!r} is not available here")
+    return start_method
+
+
+class WorkerPool:
+    """N worker processes answering requests over pipes.
+
+    Parameters
+    ----------
+    target:
+        The worker body, run in the child as ``target(conn, *args(index))``;
+        it answers requests through :func:`serve_pipe`.
+    args:
+        ``index -> tuple`` of the body's further arguments, evaluated at
+        every (re)spawn.  Under ``fork`` they reach the child through the
+        inherited address space and are never pickled; under ``spawn``
+        they are pickled once per process start.
+    n_workers:
+        How many worker processes to run.
+    start_method:
+        ``"fork"`` / ``"spawn"``; ``None`` picks via
+        :func:`resolve_start_method`.
+    request_timeout:
+        Seconds to wait for one reply before declaring the worker dead.
+    name:
+        Process-name prefix (``{name}-{index}``).
+    on_respawn:
+        ``handle -> None``, run under the handle lock once a dead worker's
+        replacement is up and before the failed request is retried; it
+        re-installs whatever per-worker state the owner keeps.
+    role:
+        Reported by the stats snapshot of a worker that is busy or fails
+        to answer the probe.
+    """
+
+    def __init__(self, target: Callable, args: Callable[[int], Tuple],
+                 n_workers: int, start_method: Optional[str] = None,
+                 request_timeout: float = 600.0, name: str = "repro-worker",
+                 on_respawn: Optional[Callable[[PipeWorkerHandle],
+                                               None]] = None,
+                 role: str = "worker"):
+        self.start_method = resolve_start_method(start_method)
+        self._mp = multiprocessing.get_context(self.start_method)
+        self._target = target
+        self._args = args
+        self.n_workers = n_workers
+        self.request_timeout = request_timeout
+        self.name = name
+        self.on_respawn = on_respawn
+        self.role = role
+        self.handles: List[PipeWorkerHandle] = []
+        self._lock = threading.Lock()
+        self._closed = False
+        #: Dead workers replaced, requests retried after a replacement, and
+        #: best-effort broadcast requests that failed.
+        self.restarts = 0
+        self.retries = 0
+        self.broadcast_failures = 0
+
+    def _spawn(self, index: int) -> Tuple[Any, Any]:
+        parent_conn, child_conn = self._mp.Pipe(duplex=True)
+        process = self._mp.Process(
+            target=self._target, args=(child_conn,) + tuple(self._args(index)),
+            name=f"{self.name}-{index}", daemon=True)
+        process.start()
+        child_conn.close()  # the parent keeps only its end
+        return process, parent_conn
+
+    def start(self) -> "WorkerPool":
+        """Spawn every worker, then wait until each answers a ping.
+
+        The workers initialise concurrently, so start-up costs the slowest
+        worker's initialisation, not the sum.
+        """
+        if self._closed:
+            raise ConfigurationError(f"{self.name} pool is closed")
+        for index in range(self.n_workers):
+            process, conn = self._spawn(index)
+            self.handles.append(PipeWorkerHandle(index=index, process=process,
+                                                 conn=conn))
+        for index in range(self.n_workers):
+            self.call(index, "ping", None, retry=False)
+        return self
+
+    def call(self, index: int, op: str, payload,
+             prepare: Optional[Callable[[PipeWorkerHandle], None]] = None,
+             retry: bool = True) -> Any:
+        """One request to worker ``index``; restart and retry it once if
+        the worker died.
+
+        ``prepare(handle)`` runs under the handle lock just before the
+        request (and again before the retry), for requests that need
+        per-worker state installed first.
+        """
+        for attempt in (0, 1):
+            handle = self.handles[index]
+            generation = handle.generation
+            try:
+                with handle.lock:
+                    if prepare is not None:
+                        prepare(handle)
+                    return request_locked(handle, op, payload,
+                                          self.request_timeout)
+            except WorkerDiedError:
+                if not retry or attempt:
+                    raise
+                self.restart(index, generation)
+                with self._lock:
+                    self.retries += 1
+        raise AssertionError("unreachable")  # pragma: no cover
+
+    def restart(self, index: int, observed_generation: int) -> None:
+        """Replace worker ``index``, once per observed death.
+
+        A thread that saw generation ``g`` die restarts the worker only if
+        no other thread has replaced it since.
+        """
+        handle = self.handles[index]
+        with handle.lock:
+            if handle.generation != observed_generation:
+                return  # another thread already replaced this process
+            if self._closed:
+                raise WorkerDiedError(
+                    f"{self.name} {index} died and the pool is closed")
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+            if handle.process.is_alive():
+                handle.process.terminate()
+            handle.process.join(timeout=5.0)
+            handle.process, handle.conn = self._spawn(index)
+            handle.generation += 1
+            handle.restarts += 1
+            if self.on_respawn is not None:
+                self.on_respawn(handle)
+            with self._lock:
+                self.restarts += 1
+
+    def broadcast(self, op: str, payload) -> int:
+        """Send ``op`` to every worker, best effort: no restart, no retry.
+
+        Returns how many workers failed it; failures also accumulate in
+        :attr:`broadcast_failures`.
+        """
+        failures = 0
+        for index in range(len(self.handles)):
+            try:
+                self.call(index, op, payload, retry=False)
+            except ReproError:
+                failures += 1
+        if failures:
+            with self._lock:
+                self.broadcast_failures += failures
+        return failures
+
+    def stats(self) -> Dict[str, Dict[str, Any]]:
+        """Every worker's ``stats`` snapshot, keyed by ``str(index)``.
+
+        A worker busy with a long request holds its pipe lock for the whole
+        round-trip, and abandoning a sent request would desynchronise the
+        framing, so the probe waits at most 2 s for the lock and otherwise
+        returns the worker's last snapshot marked ``stale``.  Probes run
+        concurrently, so the stall is ~2 s in total, not per busy worker.
+        Each snapshot also carries the worker's ``alive`` and ``restarts``.
+        """
+        def probe(handle: PipeWorkerHandle) -> Dict[str, Any]:
+            if not handle.lock.acquire(timeout=2.0):
+                stale = dict(handle.last_stats or {"role": self.role})
+                stale["stale"] = True
+                return stale
+            try:
+                snapshot = request_locked(handle, "stats", None,
+                                          self.request_timeout)
+                handle.last_stats = snapshot
+                return snapshot
+            except ReproError as error:
+                return {"role": self.role,
+                        "error": f"{type(error).__name__}: {error}"}
+            finally:
+                handle.lock.release()
+
+        handles = list(self.handles)
+        if len(handles) <= 1:
+            snapshots = [probe(handle) for handle in handles]
+        else:
+            with ThreadPoolExecutor(max_workers=len(handles)) as executor:
+                snapshots = list(executor.map(probe, handles))
+        health = self.health()
+        return {str(handle.index): {**health[str(handle.index)], **snapshot}
+                for handle, snapshot in zip(handles, snapshots)}
+
+    def health(self) -> Dict[str, Dict[str, Any]]:
+        """Per worker ``alive`` (a non-blocking process check) and
+        ``restarts``, keyed by ``str(index)``."""
+        return {str(handle.index): {"alive": handle.alive(),
+                                    "restarts": handle.restarts}
+                for handle in self.handles}
+
+    def alive_workers(self) -> int:
+        return sum(handle.alive() for handle in self.handles)
+
+    def close(self) -> None:
+        """Shut every worker down: gracefully, then firmly (idempotent).
+
+        Each worker is sent ``shutdown`` so it can finish cleanly, but the
+        wait for its pipe lock is brief: a worker mid-way through a long
+        request holds it for the whole run, and shutdown must not stall
+        behind request traffic.  Whatever has not exited after the grace
+        period is terminated.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            handles = list(self.handles)
+        for handle in handles:
+            if not handle.lock.acquire(timeout=2.0):
+                continue  # busy worker: skip graceful, terminate below
+            try:
+                handle.conn.send(("shutdown", None))
+                handle.conn.poll(2.0)
+            except (OSError, ValueError, BrokenPipeError):
+                pass
+            finally:
+                handle.lock.release()
+        for handle in handles:
+            handle.process.join(timeout=5.0)
+            if handle.process.is_alive():  # pragma: no cover - stuck worker
+                handle.process.terminate()
+                handle.process.join(timeout=2.0)
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass

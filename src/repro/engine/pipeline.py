@@ -227,16 +227,19 @@ class ExplanationPipeline:
         """Batch API returning JSON-serializable envelopes (worker-pool form).
 
         With ``n_jobs > 1`` the batch fans out over the configured backend:
-        ``"thread"`` workers share memory, ``"process"`` workers are forked
-        OS processes that ship each result back as an envelope dict.  Both
+        ``"thread"`` workers share memory, ``"process"`` workers are OS
+        processes (fork where available, else spawn) that ship each chunk
+        of results back as envelope dicts.  Both
         merge per-worker cache counters back into this context.  This is
         the method a serving tier or result cache should call — envelopes
         carry no live problem instances and round-trip through JSON.
 
         ``trace_captures`` propagates per-query trace contexts like
-        :meth:`explain_many`; the ``"process"`` backend does not carry
-        traces across its fork boundary (spans stay with the parent's
-        batch-level instrumentation).
+        :meth:`explain_many` on the ``"thread"`` backend.  The
+        ``"process"`` backend does not carry them into its workers; what
+        crosses is the calling thread's active trace (if any), which
+        rides each chunk's request frame, so the workers' engine spans
+        come back under that trace's ``rpc.explain_chunk`` spans.
         """
         from repro.engine.envelope import ExplanationEnvelope
         from repro.engine.parallel import explain_many_forked, resolve_n_jobs

@@ -49,16 +49,11 @@ Quick use::
         served.envelope.to_json()               # canonical result JSON
 """
 
+from repro.distributed.ipc import WorkerDiedError, WorkerFaultError
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import TTLCache
 from repro.serving.client import ExplanationClient, HTTPClient, LocalClient
-from repro.serving.cluster import (
-    ClusterClient,
-    DatasetSpec,
-    ServiceCluster,
-    WorkerDiedError,
-    WorkerFaultError,
-)
+from repro.serving.cluster import ClusterClient, DatasetSpec, ServiceCluster
 from repro.serving.http import ExplanationHTTPServer, make_server, serve_forever
 from repro.serving.schema import (
     API_SCHEMA_VERSION,

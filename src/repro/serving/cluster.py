@@ -22,20 +22,24 @@ The front tier stays thin — it owns no engine state:
   counter view (summed per dataset) with the per-worker breakdown kept;
 * **health + restart** — a dead worker (crash, OOM-kill) is detected on
   its next request *or* health probe, respawned from the recorded dataset
-  specs (the spawn-safe initializer pattern: the dataset pickles into the
-  worker exactly once, at process start), the failed request is retried on
-  the fresh worker, and the front tier's recorded top-K history for the
-  worker's key range is replayed to re-warm its caches in the background;
+  specs, the failed request is retried on the fresh worker, and the front
+  tier's recorded top-K history for the worker's key range is replayed to
+  re-warm its caches in the background;
 * **coherent invalidation** — ``clear_cache()`` broadcasts to every
   worker, bumping each dataset's version so version-keyed caches in all
   processes retire their entries at once.
 
-Workers communicate over :mod:`multiprocessing` pipes with a strict
-request/response discipline (the parent serializes requests per worker);
-results cross the boundary as compact envelope-JSON blobs, mirroring the
-batch executor's IPC shape.  The ``fork`` start method is used where
-available (workers inherit nothing mutable they use — each builds its own
-service); ``spawn`` is fully supported and exercised by the tests.
+The worker processes are a :class:`~repro.distributed.ipc.WorkerPool`:
+the pool owns spawning, the request/response pipes (one outstanding
+request per worker), restart-and-retry, the stats probe and shutdown;
+this module supplies the worker body (:func:`_cluster_worker_main`), what
+a worker starts from, and what a replacement must be given again.  A
+worker starts from the dataset specs.  Under ``fork`` (used where
+available) they are inherited with the address space, tables included,
+and never pickled; under ``spawn`` they are pickled once per process
+start; with the frame store on they carry shared-memory manifests instead
+of tables either way.  Results cross the boundary as compact
+envelope-JSON blobs, mirroring the process batch backend's IPC shape.
 
 :class:`ClusterClient` adapts a cluster to the
 :class:`~repro.serving.client.ExplanationClient` protocol, so the HTTP
@@ -49,14 +53,13 @@ engine in the parent process drives N data-plane workers, each resident
 with only its row slice (:class:`~repro.distributed.coordinator.ShardPool`
 and the partial-counts contract in :mod:`repro.infotheory.kernel`), which
 serves tables no single worker could hold.  The two modes share this one
-front-tier class, the pipe transport in :mod:`repro.distributed.ipc`, and
-the client surface.
+front-tier class, the worker pool in :mod:`repro.distributed.ipc`, and the
+client surface.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 import threading
 import time
@@ -69,12 +72,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.distributed import ipc
-from repro.distributed.ipc import (
-    PipeWorkerHandle,
-    WorkerDiedError,
-    WorkerFaultError,
-    serve_pipe,
-)
+from repro.distributed.ipc import PipeWorkerHandle, WorkerFaultError, serve_pipe
 from repro.engine.config import MESAConfig
 from repro.engine.envelope import ExplanationEnvelope
 from repro.exceptions import (
@@ -90,20 +88,14 @@ from repro.storage import MetaStore
 from repro.table.expressions import stable_key_digest
 from repro.table.table import Table
 
-# The pipe transport — request framing, error reconstruction, the worker
-# handle — lives in :mod:`repro.distributed.ipc`, shared with the shard
-# pool; these aliases keep this module's historical surface.
-_rebuild_error = ipc.rebuild_error
-_WorkerHandle = PipeWorkerHandle
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
     """Everything a worker needs to (re)build one dataset's service entry.
 
-    This is the spawn-safe initializer payload: it is pickled into each
-    worker exactly once — at process start (and again only on a restart) —
-    so per-request messages carry queries, never data.
+    A worker receives its specs once, at process start (and again only on
+    a restart) — inherited under fork, pickled under spawn — so
+    per-request messages carry queries, never data.
 
     With the shared-memory frame store enabled, ``manifest`` (a
     :class:`repro.shm.manifest.TableManifest`) replaces ``table``: the
@@ -135,23 +127,6 @@ class DatasetSpec:
         return table_from_manifest(self.manifest)
 
 
-#: Fork-mode spec handoff: the parent stashes the spec list here under a
-#: one-shot token immediately before forking, the child pops it from its
-#: inherited copy-on-write copy, and the parent deletes its entry as soon
-#: as the fork happened.  Nothing is pickled — which is the point: fork
-#: children inherit the tables for free, and serialising them per worker
-#: was pure redundant cost.
-_FORK_SPECS: Dict[int, List[DatasetSpec]] = {}
-_fork_spec_tokens = itertools.count()
-
-
-@dataclass(frozen=True)
-class _ForkInheritedSpecs:
-    """A token standing in for a spec list that crosses by fork inheritance."""
-
-    token: int
-
-
 def _worker_safe_config(config: Optional[MESAConfig]) -> MESAConfig:
     """The per-worker engine config: no nested process pools.
 
@@ -176,12 +151,7 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
     executor's IPC path).
     """
     service = ExplanationService(**service_kwargs)
-    if isinstance(specs, _ForkInheritedSpecs):
-        # Fork mode, frame store off: the spec list (tables included) came
-        # along with the address space; nothing was pickled.
-        specs = list(_FORK_SPECS.get(specs.token, ()))
-    else:
-        specs = list(specs)
+    specs = list(specs)
     for spec in specs:
         service.register_dataset(
             spec.name, spec.resolve_table(), spec.knowledge_graph,
@@ -369,21 +339,22 @@ class ServiceCluster:
         if shard not in ("keys", "rows"):
             raise ConfigurationError(
                 f"shard must be 'keys' or 'rows', got {shard!r}")
-        import multiprocessing
-
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else "spawn"
-        if start_method not in ("fork", "spawn"):
-            raise ConfigurationError(
-                f"start_method must be 'fork' or 'spawn', got {start_method!r}")
-        self._mp = multiprocessing.get_context(start_method)
-        self.start_method = start_method
+        self.start_method = ipc.resolve_start_method(start_method)
         self.n_workers = n_workers
         self.shard = shard
         #: Rows mode only: the parent-process service and its shard pool.
         self._service: Optional[ExplanationService] = None
         self._pool = None
+        #: The worker processes: the replicas in keys mode; in rows mode
+        #: the shard pool's row shards (set at :meth:`start`).
+        self.worker_pool: Optional[ipc.WorkerPool] = None
+        if shard == "keys":
+            self.worker_pool = ipc.WorkerPool(
+                _cluster_worker_main, self._worker_args, n_workers,
+                start_method=self.start_method,
+                request_timeout=request_timeout,
+                name="repro-serving-worker", on_respawn=self._respawned,
+                role="replica")
         from repro.shm import shm_available
 
         if frame_store is None:
@@ -436,7 +407,6 @@ class ServiceCluster:
         if self.store_path is not None:
             self.service_kwargs.setdefault("store", self.store_path)
         self._specs: List[DatasetSpec] = []
-        self._handles: List[_WorkerHandle] = []
         self._lock = threading.Lock()
         #: Monotonic observability folded in from dead workers' last known
         #: snapshots, so the merged lifetime counters in :meth:`stats` do
@@ -454,11 +424,21 @@ class ServiceCluster:
         self._closed = False
         self.requests_routed = 0
         self.requests_deduplicated = 0
-        self.worker_restarts = 0
-        self.request_retries = 0
         self.dataset_updates = 0
+        #: Post-restart replay requests that failed (the replay goes on).
+        self.replay_failures = 0
         #: The most recent post-restart warmer thread (join in tests).
         self.last_restart_warmer: Optional[threading.Thread] = None
+
+    @property
+    def worker_restarts(self) -> int:
+        """Dead workers replaced since start."""
+        return self.worker_pool.restarts if self.worker_pool else 0
+
+    @property
+    def request_retries(self) -> int:
+        """Requests retried on a replacement worker."""
+        return self.worker_pool.retries if self.worker_pool else 0
 
     # ------------------------------------------------------------------ #
     # registration and lifecycle
@@ -485,11 +465,11 @@ class ServiceCluster:
             else:
                 payload = self._worker_spec(spec) if self._store is not None \
                     else spec
-                for handle in self._handles:
-                    self._dispatch(handle.index, "register", payload)
+                for index in range(self.n_workers):
+                    self._dispatch(index, "register", payload)
                     if self._store is not None:
                         self._store.attach_reader(
-                            self._table_generation(name), handle.index)
+                            self._table_generation(name), index)
         return spec
 
     def _table_generation(self, name: str) -> Tuple:
@@ -546,16 +526,16 @@ class ServiceCluster:
                                    start_method=self.start_method,
                                    request_timeout=self.request_timeout,
                                    frame_store=self._store)
+            self.worker_pool = self._pool.worker_pool
             self._pool.start()
             for spec in self._specs:
                 self._register_rows(spec)
             self._started = True
             self._start_jobs()
             return self
-        self._handles = [self._spawn_worker(index)
-                         for index in range(self.n_workers)]
-        for handle in self._handles:
-            self._request(handle, "ping", None)
+        self.worker_pool.start()
+        for index in range(self.n_workers):
+            self._attach_tables(index)
         self._started = True
         self._start_jobs()
         return self
@@ -594,86 +574,46 @@ class ServiceCluster:
             self._table_manifests[spec.name] = manifest
         return replace(spec, table=None, manifest=manifest)
 
-    def _specs_payload(self) -> Tuple[Any, Optional[int]]:
-        """What crosses into a fresh worker, and how.
+    def _worker_args(self, index: int) -> Tuple[List[DatasetSpec],
+                                                Dict[str, Any]]:
+        """What a fresh keys-mode worker starts from.
 
         Frame store on: manifest-backed specs (tiny pickles, workers
-        attach views).  Fork with the store off: a one-shot token — the
-        tables cross by copy-on-write inheritance, never pickled.  Spawn
-        with the store off: the classic full-spec pickle.
+        attach views).  Store off: the specs themselves — under fork they
+        come along with the address space and are never pickled; under
+        spawn they are pickled once per process start.
         """
         if self._store is not None:
-            return [self._worker_spec(spec) for spec in self._specs], None
-        if self.start_method == "fork":
-            token = next(_fork_spec_tokens)
-            _FORK_SPECS[token] = list(self._specs)
-            return _ForkInheritedSpecs(token), token
-        return list(self._specs), None
+            specs = [self._worker_spec(spec) for spec in self._specs]
+        else:
+            specs = list(self._specs)
+        return specs, self.service_kwargs
 
-    def _spawn_worker(self, index: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
-        specs_payload, fork_token = self._specs_payload()
-        process = self._mp.Process(
-            target=_cluster_worker_main,
-            args=(child_conn, specs_payload, self.service_kwargs),
-            name=f"repro-serving-worker-{index}", daemon=True)
-        try:
-            process.start()
-        finally:
-            if fork_token is not None:
-                # The child holds its inherited copy; the parent's stash
-                # entry has done its job.
-                _FORK_SPECS.pop(fork_token, None)
-        child_conn.close()  # the parent keeps only its end
+    def _attach_tables(self, index: int) -> None:
+        """Record worker ``index`` as a reader of every published table."""
         if self._store is not None:
             for spec in self._specs:
                 self._store.attach_reader(self._table_generation(spec.name),
                                           index)
-        return _WorkerHandle(index=index, process=process, conn=parent_conn)
 
     def close(self) -> None:
-        """Shut every worker down (gracefully, then firmly).
-
-        The graceful half waits only briefly for each worker's pipe lock —
-        a worker mid-way through a long explanation holds it for the whole
-        engine run, and shutdown must not stall behind request traffic; an
-        unreachable worker is simply terminated below.
-        """
+        """Shut every worker down (gracefully, then firmly)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            handles = list(self._handles)
         if self.jobs is not None:
             # Checkpoint first: an in-flight RUNNING job flips back to
             # PENDING so a restart against the same store resumes it.
             self.jobs.close(checkpoint=True)
         if self._service is not None:
             self._service.close()
-        if self._pool is not None:
-            self._pool.close()
         if self._hedge_pool is not None:
             self._hedge_pool.shutdown(wait=False)
-        for handle in handles:
-            if not handle.lock.acquire(timeout=2.0):
-                continue  # busy worker: skip graceful, terminate below
-            try:
-                handle.conn.send(("shutdown", None))
-                handle.conn.poll(2.0)
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            finally:
-                handle.lock.release()
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():  # pragma: no cover - stuck worker
-                    handle.process.terminate()
-                    handle.process.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+        if self._pool is not None:
+            self._pool.close()
+        elif self.worker_pool is not None:
+            self.worker_pool.close()
         if self._store is not None:
             # After the workers are down: force-unlink every shared
             # segment so /dev/shm is clean the moment the owner returns.
@@ -941,7 +881,7 @@ class ServiceCluster:
                     "n_workers": self.n_workers,
                     "start_method": self.start_method,
                     "shard": "rows",
-                    "workers_alive": self._pool.alive_workers(),
+                    "workers_alive": self.worker_pool.alive_workers(),
                     "requests_routed": self.requests_routed,
                     "dataset_updates": self.dataset_updates,
                     "worker_restarts": pool_stats["pool"]["worker_restarts"],
@@ -967,34 +907,7 @@ class ServiceCluster:
                 merged["jobs"] = self.jobs.stats()
             return merged
 
-        def probe(handle: _WorkerHandle) -> Dict[str, Any]:
-            # A worker busy with a long cold explanation holds its pipe
-            # lock for the whole round-trip; observability must answer
-            # *now*, so wait briefly and fall back to the worker's last
-            # known snapshot (marked stale) instead of queueing behind the
-            # request.  Abandoning a sent request mid-pipe is not an
-            # option — it would desynchronise the request/response framing
-            # — hence the bounded wait happens on the lock, before
-            # sending.  Probes run concurrently so the stall is ~2s total,
-            # not 2s per busy worker.
-            if not handle.lock.acquire(timeout=2.0):
-                stale = dict(handle.last_stats or {})
-                stale["stale"] = True
-                return stale
-            try:
-                snapshot = self._request_locked(handle, "stats", None)
-                handle.last_stats = snapshot
-                return snapshot
-            except Exception as error:
-                return {"error": f"{type(error).__name__}: {error}"}
-            finally:
-                handle.lock.release()
-
-        with ThreadPoolExecutor(max_workers=len(self._handles)) as executor:
-            snapshots = list(executor.map(probe, self._handles))
-        workers: Dict[str, Any] = {
-            str(handle.index): snapshot
-            for handle, snapshot in zip(self._handles, snapshots)}
+        workers = self.worker_pool.stats()
         # Seed the merge from the retained base of dead workers' counters:
         # a restarted worker reports zeroed tallies, and without the base
         # the merged lifetime counters would move backwards.
@@ -1043,12 +956,12 @@ class ServiceCluster:
             front = {
                 "n_workers": self.n_workers,
                 "start_method": self.start_method,
-                "workers_alive": sum(handle.alive()
-                                     for handle in self._handles),
+                "workers_alive": self.worker_pool.alive_workers(),
                 "requests_routed": self.requests_routed,
                 "requests_deduplicated": self.requests_deduplicated,
                 "worker_restarts": self.worker_restarts,
                 "request_retries": self.request_retries,
+                "replay_failures": self.replay_failures,
                 "dataset_updates": self.dataset_updates,
                 "hedge_requests": self.hedge_requests,
                 "hedge_fired": self.hedge_fired,
@@ -1102,14 +1015,14 @@ class ServiceCluster:
             self._publish_hot_frames(dataset, queries)
         resolved_k = self._resolve_k(dataset, None)
         total = 0
-        for handle in self._handles:
+        for index in range(self.n_workers):
             if queries is not None:
                 routed = [query for query in queries
                           if self.worker_index(self.routing_key(
-                              dataset, query, resolved_k)) == handle.index]
+                              dataset, query, resolved_k)) == index]
             else:
                 routed = None
-            total += int(self._dispatch(handle.index, "warm",
+            total += int(self._dispatch(index, "warm",
                                         (dataset, routed, top)) or 0)
         return total
 
@@ -1169,11 +1082,10 @@ class ServiceCluster:
             if frame_key in seen:
                 continue
             seen.add(frame_key)
-            for handle in self._handles:
-                self._dispatch(handle.index, "adopt_frame",
-                               (dataset, manifest))
+            for index in range(self.n_workers):
+                self._dispatch(index, "adopt_frame", (dataset, manifest))
                 self._store.attach_reader(
-                    ("frames", dataset, self._frame_epoch), handle.index)
+                    ("frames", dataset, self._frame_epoch), index)
 
     def _ref_context(self, spec: DatasetSpec):
         """The owner's reference context for ``spec`` (lazily built).
@@ -1205,8 +1117,8 @@ class ServiceCluster:
             self._service.clear_cache()
             self._pool.drop_all_contexts()
             return
-        for handle in self._handles:
-            self._dispatch(handle.index, "clear_cache", None)
+        for index in range(self.n_workers):
+            self._dispatch(index, "clear_cache", None)
         if self._store is not None:
             self._retire_frame_generation()
 
@@ -1230,13 +1142,13 @@ class ServiceCluster:
                            for segment in manifest.segments})
         frame_generations = [key for key in self._store.generations()
                              if key[0] == "frames" and key[-1] <= epoch]
-        for handle in self._handles:
+        for index in range(self.n_workers):
             try:
-                self._dispatch(handle.index, "release_segments", segments)
+                self._dispatch(index, "release_segments", segments)
             except WorkerFaultError:  # pragma: no cover - release is total
                 pass
             for generation in frame_generations:
-                self._store.detach_reader(generation, handle.index)
+                self._store.detach_reader(generation, index)
         for generation in frame_generations:
             self._store.retire(generation)
         # The owner's reference frames hold the published arrays alive via
@@ -1307,10 +1219,10 @@ class ServiceCluster:
             self._table_generations[dataset] = new_generation
             result = None
             worker_payload = replace(new_spec, table=None, manifest=manifest)
-            for handle in self._handles:
-                outcome = self._dispatch(handle.index, "update_dataset",
+            for index in range(self.n_workers):
+                outcome = self._dispatch(index, "update_dataset",
                                          worker_payload)
-                self._store.attach_reader(new_generation, handle.index)
+                self._store.attach_reader(new_generation, index)
                 result = result or outcome
             # Every published hot-frame generation encodes the *old* rows;
             # retire them all (workers re-encode lazily — `_adopt_frame`
@@ -1318,14 +1230,14 @@ class ServiceCluster:
             # republishes against the merged table).
             self._retire_frame_generation()
             self._ref_contexts.pop(dataset, None)
-            for handle in self._handles:
-                self._store.detach_reader(old_generation, handle.index)
+            for index in range(self.n_workers):
+                self._store.detach_reader(old_generation, index)
             self._store.retire(old_generation)
             result = dict(result or {})
         else:
             result = None
-            for handle in self._handles:
-                outcome = self._dispatch(handle.index, "append_rows",
+            for index in range(self.n_workers):
+                outcome = self._dispatch(index, "append_rows",
                                          (dataset, rows))
                 result = result or outcome
             self._specs[position] = replace(
@@ -1357,32 +1269,12 @@ class ServiceCluster:
         behind an in-progress explanation and stall the probe.
         """
         with self._lock:
-            handles = list(self._handles)
             closed = self._closed
-        if self._pool is not None:
-            alive = 0 if closed else self._pool.alive_workers()
-            if closed or not self._started:
-                status = "down"
-            elif alive == self.n_workers:
-                status = "ok"
-            else:
-                status = "degraded"
-            return {
-                "status": status,
-                "datasets": sorted(spec.name for spec in self._specs),
-                "mode": "cluster",
-                "shard": "rows",
-                "workers_alive": alive,
-                "n_workers": self.n_workers,
-            }
-        worker_health = {
-            str(handle.index): {"alive": handle.alive(),
-                                "restarts": handle.restarts}
-            for handle in handles}
-        alive = sum(1 for one in worker_health.values() if one["alive"])
+        workers = self.worker_pool.health() if self.worker_pool else {}
+        alive = sum(1 for one in workers.values() if one["alive"])
         if closed or not self._started:
             status = "down"
-        elif alive == len(handles):
+        elif alive == self.n_workers:
             status = "ok"
         else:
             status = "degraded"
@@ -1390,9 +1282,10 @@ class ServiceCluster:
             "status": status,
             "datasets": sorted(spec.name for spec in self._specs),
             "mode": "cluster",
+            "shard": self.shard,
             "workers_alive": alive,
-            "n_workers": len(handles),
-            "workers": worker_health,
+            "n_workers": self.n_workers,
+            "workers": workers,
         }
 
     # ------------------------------------------------------------------ #
@@ -1404,29 +1297,9 @@ class ServiceCluster:
         if self._closed:
             raise ConfigurationError("ServiceCluster is closed")
 
-    def _poll_reply(self, handle: _WorkerHandle, op: str) -> None:
-        """Wait for a reply, failing fast when the worker process dies."""
-        ipc.poll_reply(handle, op, self.request_timeout)
-
-    def _request(self, handle: _WorkerHandle, op: str, payload) -> Any:
-        """One request/response round-trip (raises worker-side errors)."""
-        return ipc.request(handle, op, payload, self.request_timeout)
-
-    def _request_locked(self, handle: _WorkerHandle, op: str, payload) -> Any:
-        """The round-trip body; the caller must hold ``handle.lock``."""
-        return ipc.request_locked(handle, op, payload, self.request_timeout)
-
     def _dispatch(self, index: int, op: str, payload) -> Any:
         """Route an op to a worker; on a dead worker, restart and retry once."""
-        handle = self._handles[index]
-        generation = handle.generation
-        try:
-            return self._request(handle, op, payload)
-        except WorkerDiedError:
-            self._restart_worker(index, observed_generation=generation)
-            with self._lock:
-                self.request_retries += 1
-            return self._request(self._handles[index], op, payload)
+        return self.worker_pool.call(index, op, payload)
 
     def _absorb_last_stats(self, snapshot: Optional[Dict[str, Any]]) -> None:
         """Fold a dead worker's last known snapshot into the stats base.
@@ -1473,54 +1346,31 @@ class ServiceCluster:
                 base["metrics"] = merge_metric_states(
                     [base["metrics"], monotonic])
 
-    def _restart_worker(self, index: int, observed_generation: int) -> None:
-        """Replace a dead worker's process (once per observed death).
+    def _respawned(self, handle: PipeWorkerHandle) -> None:
+        """Re-install a replacement worker's state (under its handle lock).
 
-        Before respawning, the dead worker's last known stats snapshot is
-        folded into the front tier's base so merged lifetime counters stay
-        monotonic across the restart (the fresh process reports zeros).
+        The dead worker's last known stats snapshot folds into the front
+        tier's base, so merged lifetime counters stay monotonic across the
+        restart (the fresh process reports zeros).  With the frame store,
+        the dead process can never ack a release: it leaves every
+        generation as a reader, so retirements it was party to drain,
+        before its replacement is attached to the tables and re-adopts the
+        current frame generation (adoption state died with the process).
+        Last, the worker's hottest keys replay in the background.
         """
-        handle = self._handles[index]
-        with handle.lock:
-            if handle.generation != observed_generation:
-                return  # another thread already replaced this process
-            if self._closed:
-                raise WorkerDiedError(
-                    f"worker {index} died and the cluster is closed")
-            self._absorb_last_stats(handle.last_stats)
-            handle.last_stats = None
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            if handle.process is not None and handle.process.is_alive():
-                handle.process.terminate()
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-            if self._store is not None:
-                # The dead process can never ack a release; drop it from
-                # every generation so retirements it was party to drain.
-                # Before the respawn, which re-attaches it as a reader of
-                # whatever it is about to receive.
-                self._store.drop_reader(index)
-            fresh = self._spawn_worker(index)
-            handle.process = fresh.process
-            handle.conn = fresh.conn
-            handle.generation += 1
-            handle.restarts += 1
-            if self._store is not None:
-                # Re-publish the current frame generation: adoption state
-                # died with the process.
-                with self._lock:
-                    manifests = list(self._frame_manifests.items())
-                    epoch = self._frame_epoch
-                for (dataset, _frame_key), manifest in manifests:
-                    self._request_locked(handle, "adopt_frame",
-                                         (dataset, manifest))
-                    self._store.attach_reader(("frames", dataset, epoch),
-                                              index)
-        with self._lock:
-            self.worker_restarts += 1
+        self._absorb_last_stats(handle.last_stats)
+        handle.last_stats = None
+        index = handle.index
+        if self._store is not None:
+            self._store.drop_reader(index)
+            self._attach_tables(index)
+            with self._lock:
+                manifests = list(self._frame_manifests.items())
+                epoch = self._frame_epoch
+            for (dataset, _frame_key), manifest in manifests:
+                ipc.request_locked(handle, "adopt_frame", (dataset, manifest),
+                                   self.request_timeout)
+                self._store.attach_reader(("frames", dataset, epoch), index)
         self._rewarm_worker(index)
 
     def _rewarm_worker(self, index: int) -> None:
@@ -1543,8 +1393,9 @@ class ServiceCluster:
             for dataset, query, k in replay:
                 try:
                     self.explain(dataset, query, k=k)
-                except Exception:
-                    continue
+                except Exception:  # a failed replay only leaves a key cold
+                    with self._lock:
+                        self.replay_failures += 1
 
         thread = threading.Thread(target=run_replay, daemon=True,
                                   name=f"repro-cluster-rewarm-{index}")

@@ -339,9 +339,9 @@ class TestClusterServing:
             victim = cluster.worker_index(
                 cluster.routing_key(DATASET, query, 3))
             warm = client.explain(DATASET, query, k=3)
-            os.kill(cluster._handles[victim].process.pid, signal.SIGKILL)
+            os.kill(cluster.worker_pool.handles[victim].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while cluster._handles[victim].process.is_alive():
+            while cluster.worker_pool.handles[victim].process.is_alive():
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             assert client.health()["status"] == "degraded"
@@ -361,7 +361,7 @@ class TestClusterServing:
         with ClusterClient(cluster) as client:
             query = covid_queries[0]
             client.explain(DATASET, query, k=3)
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
+            os.kill(cluster.worker_pool.handles[0].process.pid, signal.SIGKILL)
             time.sleep(0.1)
             client.explain(DATASET, covid_queries[1], k=3)  # triggers restart
             assert cluster.last_restart_warmer is not None
@@ -390,14 +390,14 @@ class TestClusterServing:
             assert not any(one.cache_hit for one in served)
 
     def test_worker_faults_are_server_errors_not_client_errors(self):
-        from repro.serving.cluster import WorkerFaultError, _rebuild_error
+        from repro.distributed.ipc import WorkerFaultError, rebuild_error
 
-        rebuilt = _rebuild_error("KeyError", ("boom",))
+        rebuilt = rebuild_error("KeyError", ("boom",))
         assert isinstance(rebuilt, WorkerFaultError)
         assert not isinstance(rebuilt, (QueryError, ExplanationError))
-        exact = _rebuild_error("QueryError", ("bad column",))
+        exact = rebuild_error("QueryError", ("bad column",))
         assert isinstance(exact, QueryError)
-        assert isinstance(_rebuild_error("DatasetNotRegisteredError", ("x",)),
+        assert isinstance(rebuild_error("DatasetNotRegisteredError", ("x",)),
                           DatasetNotRegisteredError)
 
     def test_register_after_start_reaches_restarted_workers(
@@ -407,9 +407,9 @@ class TestClusterServing:
             "c1", covid_bundle.table, covid_bundle.knowledge_graph,
             covid_bundle.extraction_specs, config=_config(covid_bundle))
         with ClusterClient(cluster) as client:
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
+            os.kill(cluster.worker_pool.handles[0].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while cluster._handles[0].process.is_alive():
+            while cluster.worker_pool.handles[0].process.is_alive():
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             # The broadcast restarts the dead worker (which then learns the
@@ -454,9 +454,9 @@ class TestHTTPOverCluster:
             assert served.envelope.explanation.attributes
             victim = cluster.worker_index(
                 cluster.routing_key(DATASET, covid_queries[0], 3))
-            os.kill(cluster._handles[victim].process.pid, signal.SIGKILL)
+            os.kill(cluster.worker_pool.handles[victim].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while cluster._handles[victim].process.is_alive():
+            while cluster.worker_pool.handles[victim].process.is_alive():
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             degraded = http.health()

@@ -292,19 +292,33 @@ class TestShardPool:
         if n_run == full_run:
             assert exceed == full_exceed
 
-    def test_worker_restart_heals_and_retries(self, shard_data):
-        with ShardPool(n_shards=2) as fresh:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_worker_restart_heals_and_retries(self, shard_data, start_method):
+        with ShardPool(n_shards=2, start_method=start_method) as fresh:
             ctx = fresh.context_handle("t", 0, 1, 8, "ctx0", N_ROWS)
             job = {"kind": "entropy", "codes": [("col", "p:x")],
                    "minlength": 3}
             before = fresh.counts(ctx, [job],
                                   provider=shard_data.__getitem__)[0]
-            fresh._handles[0].process.kill()
-            fresh._handles[0].process.join()
+            fresh.worker_pool.handles[0].process.kill()
+            fresh.worker_pool.handles[0].process.join()
             after = fresh.counts(ctx, [job],
                                  provider=shard_data.__getitem__)[0]
             np.testing.assert_allclose(after, before, atol=0)
             assert fresh.worker_restarts >= 1
+
+    def test_failed_best_effort_broadcast_is_counted(self, shard_data):
+        with ShardPool(n_shards=2) as fresh:
+            ctx = fresh.context_handle("t", 0, 1, 8, "ctx0", N_ROWS)
+            fresh.counts(ctx, [{"kind": "entropy", "codes": [("col", "p:x")],
+                                "minlength": 3}],
+                         provider=shard_data.__getitem__)
+            victim = fresh.worker_pool.handles[0].process
+            victim.kill()
+            victim.join()
+            before = fresh.stats()["pool"]["broadcast_failures"]
+            fresh.drop_all_contexts()
+            assert fresh.stats()["pool"]["broadcast_failures"] == before + 1
 
     def test_stats_report_shard_roles_and_residency(self, pool, pool_ctx,
                                                     shard_data):

@@ -530,9 +530,9 @@ class TestClusterObservability:
             hits_plus_misses = before["cache"]["hits"] + \
                 before["cache"]["misses"]
             assert explained_before >= 1
-            os.kill(cluster._handles[0].process.pid, signal.SIGKILL)
+            os.kill(cluster.worker_pool.handles[0].process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10.0
-            while cluster._handles[0].process.is_alive():
+            while cluster.worker_pool.handles[0].process.is_alive():
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             client.explain(DATASET, query, k=3)  # restart + retry

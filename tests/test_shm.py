@@ -414,7 +414,7 @@ class TestClusterFrameStore:
         query = _queries()[0]
         segments_before = _shm_entries()
         assert segments_before  # the table segment at minimum
-        victim = cluster._handles[0].process
+        victim = cluster.worker_pool.handles[0].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=30)
         time.sleep(0.5)
