@@ -139,19 +139,19 @@ def main() -> None:
     #    ExplanationClient protocol (explain / explain_batch / stats / warm
     #    / close), so *where* explanations compute is a deployment choice,
     #    not a code change:
-    #      - LocalClient    wraps an in-process ExplanationService;
-    #      - HTTPClient     speaks to any remote JSON deployment;
-    #      - ClusterClient  shards canonical query keys over N worker
-    #        processes (ServiceCluster) — stable hashing keeps each
-    #        worker's caches hot for its key range, the front tier dedupes
-    #        in-flight keys, merges per-worker stats and restarts dead
-    #        workers.  `python -m repro.serving --workers 4` serves the
-    #        same HTTP API from such a cluster.
-    from repro.serving import ClusterClient, ServiceCluster
+    #      - ExplanationService  is one in-process client;
+    #      - HTTPClient          speaks to any remote JSON deployment;
+    #      - ServiceCluster      shards canonical query keys over N worker
+    #        processes — stable hashing keeps each worker's caches hot for
+    #        its key range, the front tier dedupes in-flight keys, merges
+    #        per-worker stats and restarts dead workers.
+    #        `python -m repro.serving --workers 4` serves the same HTTP API
+    #        from such a cluster.
+    from repro.serving import ServiceCluster
 
     cluster = ServiceCluster(n_workers=2)
     cluster.register_bundle(bundle, config=pipeline.config)
-    with ClusterClient(cluster) as client:
+    with cluster as client:  # starts the workers
         sharded = client.explain(bundle.name, query, k=3)
         same = sharded.envelope.canonical_json() == \
             served.envelope.canonical_json()
@@ -179,7 +179,7 @@ def main() -> None:
     direct = pipeline.explain(stable_query, k=3)
     rows_cluster = ServiceCluster(n_workers=2, shard="rows")
     rows_cluster.register_bundle(bundle, config=pipeline.config, warm=False)
-    with ClusterClient(rows_cluster) as client:
+    with rows_cluster as client:
         row_sharded = client.explain(bundle.name, stable_query, k=3)
         same_attrs = row_sharded.envelope.explanation.attributes == \
             direct.explanation.attributes
@@ -200,7 +200,7 @@ def main() -> None:
     #     stats carry each worker's maxrss and the store's segment sizes.
     mem_cluster = ServiceCluster(n_workers=2)
     mem_cluster.register_bundle(bundle, config=pipeline.config, warm=False)
-    with ClusterClient(mem_cluster) as client:
+    with mem_cluster as client:
         mem_cluster.warm(bundle.name, queries=[query])
         merged = client.stats()
         store = merged["frame_store"]

@@ -32,13 +32,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import MESAConfig, load_dataset
-from repro.serving import (
-    ClusterClient,
-    ExplanationService,
-    LocalClient,
-    ServiceCluster,
-    make_server,
-)
+from repro.serving import ExplanationService, ServiceCluster, make_server
 
 
 def post(base: str, path: str, body: dict) -> dict:
@@ -53,7 +47,8 @@ def get(base: str, path: str) -> dict:
         return json.loads(response.read())
 
 
-def build_client(bundle, n_workers: int):
+def build_backend(bundle, n_workers: int):
+    """The serving tier to put behind HTTP: a service or a started cluster."""
     config = MESAConfig(excluded_columns=tuple(bundle.id_columns), k=3)
     if n_workers <= 1:
         service = ExplanationService(cache_size=4096,
@@ -61,12 +56,12 @@ def build_client(bundle, n_workers: int):
         print(f"Registering {bundle.name} ({bundle.table.n_rows} rows) and "
               f"warming the cross-query caches ...")
         service.register_bundle(bundle, config=config)
-        return LocalClient(service)
+        return service
     cluster = ServiceCluster(n_workers=n_workers)
     cluster.register_bundle(bundle, config=config)
     print(f"Starting {n_workers} worker processes for {bundle.name} "
           f"({bundle.table.n_rows} rows); each warms its own caches ...")
-    return ClusterClient(cluster)
+    return cluster.start()
 
 
 def main() -> None:
@@ -76,9 +71,9 @@ def main() -> None:
     args = parser.parse_args()
 
     bundle = load_dataset("SO", seed=7, n_rows=2000)
-    client = build_client(bundle, args.workers)
+    backend = build_backend(bundle, args.workers)
 
-    server = make_server(client, port=0)
+    server = make_server(backend, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     base = "http://{}:{}".format(*server.server_address[:2])
     print(f"Serving on {base}\n")
@@ -161,7 +156,7 @@ def main() -> None:
 
     server.shutdown()
     server.server_close()
-    client.close()
+    backend.close()
 
 
 if __name__ == "__main__":

@@ -147,16 +147,15 @@ hostile repeats never reach the engine (``service.negative_hit``).
 
 Callers program against the transport-agnostic
 :class:`~repro.serving.ExplanationClient` protocol — ``explain`` /
-``explain_batch`` / ``stats`` / ``warm`` / ``close`` — with three
-interchangeable implementations: :class:`~repro.serving.LocalClient`
-(in-process service), :class:`~repro.serving.HTTPClient` (stdlib JSON
-client for any remote deployment, with per-thread keep-alive connections
-and a single idempotent retry when a pooled socket turns out stale) and
-:class:`~repro.serving.ClusterClient`, which shards canonical query keys
-over the N worker processes of a :class:`~repro.serving.ServiceCluster`
-by **stable hash** — each worker's explanation/frame/fit caches stay hot
-for exactly its key range, so the cluster's aggregate cache capacity (and,
-on multi-core hosts, its compute) scales with N.  The thin front tier
+``explain_batch`` / ``stats`` / ``warm`` / ``close``.  The service
+implements it itself, as does :class:`~repro.serving.HTTPClient` (stdlib
+JSON client for any remote deployment, with per-thread keep-alive
+connections and a single idempotent retry when a pooled socket turns out
+stale) and :class:`~repro.serving.ServiceCluster`, which shards canonical
+query keys over its N worker processes by **stable hash** — each
+worker's explanation/frame/fit caches stay hot for exactly its key range,
+so the cluster's aggregate cache capacity (and, on multi-core hosts, its
+compute) scales with N.  The thin front tier
 dedupes in-flight keys, merges per-worker ``stats()`` into one counter
 view, restarts dead workers (retrying the failed request and re-warming
 the new worker from recorded top-K history), and broadcasts

@@ -477,6 +477,18 @@ def _render_envelope_store_block(out: _Renderer,
             out.sample("repro_metastore_epoch", {}, meta.get("epoch", 0))
 
 
+#: The cluster block's lifetime tallies, exported as ``repro_cluster_<field>_total``.
+_CLUSTER_COUNTERS = (
+    ("worker_restarts", "dead workers restarted since start"),
+    ("request_retries", "requests retried on a replacement worker"),
+    ("replay_failures", "post-restart re-warm replays that failed"),
+    ("requests_routed", "requests dispatched to workers"),
+    ("dataset_updates", "live append_rows updates applied cluster-wide"),
+    ("hedge_fired", "hedged backup requests issued"),
+    ("hedge_won", "hedged backup requests answered first"),
+)
+
+
 def prometheus_text(stats: Mapping[str, Any]) -> str:
     """Render a ``stats()`` snapshot as Prometheus text exposition.
 
@@ -529,29 +541,18 @@ def prometheus_text(stats: Mapping[str, Any]) -> str:
                        "workers that answered the last stats probe")
             out.sample("repro_cluster_workers_alive", {},
                        cluster.get("workers_alive", 0))
-        if "restarts" in cluster:
-            out.header("repro_cluster_worker_restarts_total", "counter",
-                       "dead workers restarted since start")
-            out.sample("repro_cluster_worker_restarts_total", {},
-                       cluster.get("restarts", 0))
-        if "requests_routed" in cluster:
-            out.header("repro_cluster_requests_routed_total", "counter",
-                       "requests dispatched to workers")
-            out.sample("repro_cluster_requests_routed_total", {},
-                       cluster.get("requests_routed", 0))
-        if "dataset_updates" in cluster:
-            out.header("repro_cluster_dataset_updates_total", "counter",
-                       "live append_rows updates applied cluster-wide")
-            out.sample("repro_cluster_dataset_updates_total", {},
-                       cluster.get("dataset_updates", 0))
-        for field in ("hedge_fired", "hedge_won"):
+        for field, meaning in _CLUSTER_COUNTERS:
             if field in cluster:
                 metric = f"repro_cluster_{field}_total"
-                out.header(metric, "counter",
-                           "hedged backup requests "
-                           + ("issued" if field == "hedge_fired"
-                              else "answered first"))
-                out.sample(metric, {}, cluster.get(field, 0))
+                out.header(metric, "counter", meaning)
+                out.sample(metric, {}, cluster[field])
+        data_plane = cluster.get("data_plane")
+        if isinstance(data_plane, Mapping) and \
+                "broadcast_failures" in data_plane:
+            out.header("repro_cluster_broadcast_failures_total", "counter",
+                       "row-shard broadcasts a worker failed (not retried)")
+            out.sample("repro_cluster_broadcast_failures_total", {},
+                       data_plane["broadcast_failures"])
 
     jobs = stats.get("jobs")
     if isinstance(jobs, Mapping):

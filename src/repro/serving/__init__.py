@@ -5,13 +5,14 @@ concurrency-safe service — the answer to "heavy traffic" workloads where
 the same datasets and often the same (or same-context) queries arrive
 continuously:
 
-* :class:`ExplanationClient` (:mod:`repro.serving.client`) — the
+* :class:`ExplanationClient` (:mod:`repro.serving.api`) — the
   **transport-agnostic API** every caller programs against
-  (``explain`` / ``explain_batch`` / ``stats`` / ``warm`` / ``close``),
-  with three interchangeable implementations: :class:`LocalClient`
-  (in-process service), :class:`HTTPClient` (stdlib JSON client for any
-  remote deployment) and :class:`ClusterClient` (sharded worker
-  processes);
+  (``explain`` / ``explain_batch`` / ``stats`` / ``warm`` / ``close`` and
+  the durable job API).  :class:`ExplanationService` and
+  :class:`ServiceCluster` implement it themselves and are served as they
+  are; :class:`HTTPClient` (:mod:`repro.serving.client`) speaks it to any
+  remote deployment.  :class:`LocalClient` and :class:`ClusterClient` are
+  thin views that forward it to a service or a cluster;
 * :class:`ExplanationService` (:mod:`repro.serving.service`) — one warm
   :class:`~repro.engine.context.PipelineContext` per registered dataset, a
   canonical-query-key explanation cache (bounded LRU + optional TTL) that
@@ -40,19 +41,20 @@ continuously:
 Quick use::
 
     from repro import load_dataset
-    from repro.serving import ClusterClient, ServiceCluster
+    from repro.serving import ServiceCluster
 
     cluster = ServiceCluster(n_workers=4)
     cluster.register_bundle(load_dataset("SO"))
-    with ClusterClient(cluster) as client:      # starts the workers
-        served = client.explain("SO", query)    # ServedExplanation
+    with cluster:                               # starts the workers
+        served = cluster.explain("SO", query)   # ServedExplanation
         served.envelope.to_json()               # canonical result JSON
 """
 
 from repro.distributed.ipc import WorkerDiedError, WorkerFaultError
+from repro.serving.api import ExplanationClient
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import TTLCache
-from repro.serving.client import ExplanationClient, HTTPClient, LocalClient
+from repro.serving.client import HTTPClient, LocalClient
 from repro.serving.cluster import ClusterClient, DatasetSpec, ServiceCluster
 from repro.serving.http import ExplanationHTTPServer, make_server, serve_forever
 from repro.serving.schema import (

@@ -5,13 +5,11 @@ Loads evaluation datasets (synthetic table + knowledge graph) from
 The ``--workers`` flag picks the topology behind the *same* HTTP handler:
 
 * ``--workers 1`` (default) — one in-process
-  :class:`~repro.serving.service.ExplanationService` behind a
-  :class:`~repro.serving.client.LocalClient`;
-* ``--workers N`` — a :class:`~repro.serving.cluster.ServiceCluster` of N
-  worker processes behind a :class:`~repro.serving.cluster.ClusterClient`:
-  requests shard by the stable hash of their canonical query key, so each
-  worker's caches stay hot for its key range and throughput scales past
-  one GIL.
+  :class:`~repro.serving.service.ExplanationService`, served directly;
+* ``--workers N`` — a started :class:`~repro.serving.cluster.ServiceCluster`
+  of N worker processes, served directly: requests shard by the stable
+  hash of their canonical query key, so each worker's caches stay hot for
+  its key range and throughput scales past one GIL.
 * ``--workers N --shard rows`` — the same cluster front end, but workers
   shard the *data* instead of the requests: each holds one contiguous row
   range and answers partial-count / partial-IRLS jobs, so the cluster can
@@ -41,8 +39,7 @@ import sys
 from repro.datasets.registry import DATASET_NAMES, load_dataset
 from repro.engine.config import MESAConfig
 from repro.obs.logs import JsonLogFormatter
-from repro.serving.client import LocalClient
-from repro.serving.cluster import ClusterClient, ServiceCluster
+from repro.serving.cluster import ServiceCluster
 from repro.serving.http import serve_forever
 from repro.serving.service import ExplanationService
 
@@ -151,7 +148,7 @@ def main(argv=None) -> None:
         for bundle in bundles}
 
     if args.workers == 1:
-        service = ExplanationService(
+        backend = service = ExplanationService(
             cache_size=args.cache_size, ttl_seconds=args.ttl,
             coalesce_window_seconds=args.coalesce_window,
             store=args.store)
@@ -161,7 +158,6 @@ def main(argv=None) -> None:
             service.register_bundle(bundle, config=configs[bundle.name])
         if args.store is not None:
             service.enable_jobs()
-        client = LocalClient(service)
     else:
         frame_store = {"auto": None, "on": True, "off": False}[
             args.frame_store]
@@ -177,9 +173,9 @@ def main(argv=None) -> None:
         log.info("starting %d %s worker processes (%s) for %s",
                  args.workers, topology, cluster.start_method,
                  [bundle.name for bundle in bundles])
-        client = ClusterClient(cluster)
+        backend = cluster.start()
     slow = args.slow_query_seconds if args.slow_query_seconds > 0 else None
-    serve_forever(client, host=args.host, port=args.port,
+    serve_forever(backend, host=args.host, port=args.port,
                   slow_query_seconds=slow,
                   install_signal_handlers=True)
 

@@ -1,37 +1,14 @@
-"""Transport-agnostic clients for the explanation serving tier.
+"""The clients of :class:`~repro.serving.api.ExplanationClient` that are
+not a serving tier (the service and the cluster are clients themselves):
 
-Callers should not care *where* explanations are computed — in their own
-process, behind an HTTP endpoint, or sharded over a cluster of worker
-processes.  :class:`ExplanationClient` is the one surface they program
-against:
-
-* ``explain(dataset, query, k)`` / ``explain_batch(dataset, queries, k)``
-  serve :class:`~repro.serving.service.ServedExplanation` objects;
-* ``stats()`` returns the serving tier's observability snapshot;
-* ``warm(dataset, queries=...)`` builds cross-query artefacts and replays
-  hot queries into the caches;
-* ``clear_cache()`` invalidates every cache layer (dataset versions bump,
-  see :meth:`~repro.engine.context.PipelineContext.bump_dataset_version`);
-* ``close()`` releases whatever the transport holds (threads, sockets,
-  worker processes).
-
-Three interchangeable implementations ship with the package:
-
-* :class:`LocalClient` — wraps an in-process
-  :class:`~repro.serving.service.ExplanationService`; zero transport cost,
-  one GIL.
 * :class:`HTTPClient` — a dependency-free stdlib JSON client for the
   :mod:`repro.serving.http` API; talk to any remote deployment.  Keeps
   one persistent connection per calling thread (HTTP/1.1 keep-alive) and
   retries a request once on a fresh socket when a reused one went stale.
-* :class:`~repro.serving.cluster.ClusterClient` — routes requests by the
-  stable hash of their canonical query key over N local worker processes
-  (:class:`~repro.serving.cluster.ServiceCluster`), scaling beyond one GIL
-  while keeping each worker's caches hot for its key range.
-
-Because the HTTP front end (:mod:`repro.serving.http`) itself serves *any*
-client, the same handler code exposes a single process or a whole cluster —
-pick the topology with ``python -m repro.serving --workers N``.
+* :class:`ClientView` — forwards the API to one serving tier; its
+  subclasses :class:`LocalClient` (a service) and
+  :class:`~repro.serving.cluster.ClusterClient` (a cluster, started on
+  construction) remain for callers that wrap a tier by name.
 """
 
 from __future__ import annotations
@@ -40,13 +17,11 @@ import http.client
 import json
 import threading
 import time
-from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Optional, Sequence
 from urllib.parse import urlsplit
 
 from repro.engine.envelope import ExplanationEnvelope
 from repro.exceptions import (
-    ConfigurationError,
     DatasetNotRegisteredError,
     ExplanationError,
     MissingDataError,
@@ -54,170 +29,60 @@ from repro.exceptions import (
     RequestValidationError,
 )
 from repro.query.aggregate_query import AggregateQuery
+from repro.serving.api import ExplanationClient
 from repro.serving.schema import query_payload
 from repro.serving.service import ExplanationService, ServedExplanation
 from repro.storage.metastore import JOB_TERMINAL_STATES
 
 
-class ExplanationClient(ABC):
-    """The transport-agnostic serving API (see the module docstring).
+class ClientView(ExplanationClient):
+    """A client that forwards the whole API to one serving tier.
 
-    Implementations must be thread-safe: the HTTP front end calls one
-    client from many handler threads concurrently.
+    Each subclass sets ``_backend`` in its ``__init__`` and defines its own
+    ``explain`` (the repository benchmark's tracer wraps it per class);
+    everything else forwards from here, the job API included (the
+    backend's job manager answers it).
     """
 
-    @abstractmethod
-    def explain(self, dataset: str, query: AggregateQuery,
-                k: Optional[int] = None) -> ServedExplanation:
-        """Serve one explanation."""
+    _backend: ExplanationClient
 
-    @abstractmethod
     def explain_batch(self, dataset: str, queries: Sequence[AggregateQuery],
                       k: Optional[int] = None) -> List[ServedExplanation]:
-        """Serve a batch of explanations, in request order."""
+        return self._backend.explain_batch(dataset, queries, k=k)
 
-    @abstractmethod
     def stats(self) -> Dict[str, Any]:
-        """The serving tier's observability snapshot (JSON-safe)."""
+        return self._backend.stats()
 
-    @abstractmethod
     def warm(self, dataset: str, queries: Optional[Sequence] = None,
              top: int = 8) -> int:
-        """Build cross-query artefacts and replay hot queries; returns count."""
+        return self._backend.warm(dataset, queries=queries, top=top)
 
-    @abstractmethod
-    def close(self) -> None:
-        """Release the transport's resources; the client stops serving."""
-
-    # ---- standard extensions every implementation provides ------------- #
-    @abstractmethod
     def clear_cache(self) -> None:
-        """Invalidate every cache layer (bumps dataset versions)."""
+        self._backend.clear_cache()
 
-    @abstractmethod
     def health(self) -> Dict[str, Any]:
-        """Liveness verdict: ``{"status": "ok" | "degraded" | "down", ...}``."""
+        return self._backend.health()
 
-    def datasets(self) -> List[str]:
-        """Names of the datasets this client can serve, sorted."""
-        return sorted(self.health().get("datasets", []))
-
-    # ---- durability extensions (need a store-backed deployment) -------- #
-    def _no_jobs(self) -> "ConfigurationError":
-        return ConfigurationError(
-            "this deployment has no durable job store: construct the "
-            "service/cluster with store=<path> (or pass --store to "
-            "python -m repro.serving)")
-
-    def submit_job(self, dataset: str, kind: str = "explain_batch",
-                   queries: Optional[Sequence] = None,
-                   k: Optional[int] = None, top: int = 8) -> str:
-        """Submit a resumable background job; returns its id."""
-        raise self._no_jobs()
-
-    def job_status(self, job_id: str,
-                   include_result: bool = False) -> Dict[str, Any]:
-        """One job's public status (progress, state, optional results)."""
-        raise self._no_jobs()
-
-    def wait_job(self, job_id: str, timeout: Optional[float] = None,
-                 poll_seconds: float = 0.02) -> Dict[str, Any]:
-        """Block until the job reaches a terminal state (or time out)."""
-        raise self._no_jobs()
-
-    def cancel_job(self, job_id: str) -> Dict[str, Any]:
-        """Request cancellation; returns the post-cancel status."""
-        raise self._no_jobs()
-
-    def list_jobs(self, dataset: Optional[str] = None,
-                  limit: int = 100) -> List[Dict[str, Any]]:
-        """Recent jobs, newest first."""
-        raise self._no_jobs()
+    def _job_manager(self):
+        return self._backend._job_manager()
 
     def append_rows(self, dataset: str, rows: Sequence[Dict[str, Any]],
                     rewarm: bool = True, top: int = 8) -> Dict[str, Any]:
-        """Append rows to a served dataset (live update + re-warm)."""
-        raise ConfigurationError(
-            "this client's deployment does not support live dataset "
-            "updates")
+        return self._backend.append_rows(dataset, rows, rewarm=rewarm, top=top)
 
-    def __enter__(self) -> "ExplanationClient":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+    def close(self) -> None:
+        self._backend.close()
 
 
-class LocalClient(ExplanationClient):
-    """An in-process client over one :class:`ExplanationService`.
+class LocalClient(ClientView):
+    """A view of one in-process :class:`ExplanationService`."""
 
-    ``close_service=False`` leaves the wrapped service running on close —
-    for a service shared with other consumers (e.g. tests driving both the
-    service object and a client view of it).
-    """
-
-    def __init__(self, service: ExplanationService, close_service: bool = True):
-        self.service = service
-        self._close_service = close_service
+    def __init__(self, service: ExplanationService):
+        self.service = self._backend = service
 
     def explain(self, dataset: str, query: AggregateQuery,
                 k: Optional[int] = None) -> ServedExplanation:
         return self.service.explain(dataset, query, k=k)
-
-    def explain_batch(self, dataset: str, queries: Sequence[AggregateQuery],
-                      k: Optional[int] = None) -> List[ServedExplanation]:
-        return self.service.explain_batch(dataset, queries, k=k)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.service.stats()
-
-    def warm(self, dataset: str, queries: Optional[Sequence] = None,
-             top: int = 8) -> int:
-        return self.service.warm(dataset, queries=queries, top=top)
-
-    def clear_cache(self) -> None:
-        self.service.clear_cache()
-
-    def health(self) -> Dict[str, Any]:
-        return self.service.health()
-
-    def datasets(self) -> List[str]:
-        return self.service.datasets()
-
-    def _jobs(self):
-        if self.service.jobs is None:
-            self.service.enable_jobs()
-        return self.service.jobs
-
-    def submit_job(self, dataset: str, kind: str = "explain_batch",
-                   queries: Optional[Sequence] = None,
-                   k: Optional[int] = None, top: int = 8) -> str:
-        return self._jobs().submit(dataset, kind=kind, queries=queries,
-                                   k=k, top=top)
-
-    def job_status(self, job_id: str,
-                   include_result: bool = False) -> Dict[str, Any]:
-        return self._jobs().status(job_id, include_result=include_result)
-
-    def wait_job(self, job_id: str, timeout: Optional[float] = None,
-                 poll_seconds: float = 0.02) -> Dict[str, Any]:
-        return self._jobs().wait(job_id, timeout=timeout,
-                                 poll_seconds=poll_seconds)
-
-    def cancel_job(self, job_id: str) -> Dict[str, Any]:
-        return self._jobs().cancel(job_id)
-
-    def list_jobs(self, dataset: Optional[str] = None,
-                  limit: int = 100) -> List[Dict[str, Any]]:
-        return self._jobs().list_jobs(dataset, limit)
-
-    def append_rows(self, dataset: str, rows: Sequence[Dict[str, Any]],
-                    rewarm: bool = True, top: int = 8) -> Dict[str, Any]:
-        return self.service.append_rows(dataset, rows, rewarm=rewarm, top=top)
-
-    def close(self) -> None:
-        if self._close_service:
-            self.service.close()
 
 
 def _raise_for_http_error(status: int, body: Dict[str, Any]) -> None:

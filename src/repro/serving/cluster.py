@@ -41,9 +41,9 @@ start; with the frame store on they carry shared-memory manifests instead
 of tables either way.  Results cross the boundary as compact
 envelope-JSON blobs, mirroring the process batch backend's IPC shape.
 
-:class:`ClusterClient` adapts a cluster to the
-:class:`~repro.serving.client.ExplanationClient` protocol, so the HTTP
-front end (and any other consumer) serves a cluster with the same code
+:class:`ServiceCluster` is an
+:class:`~repro.serving.api.ExplanationClient` itself, so the HTTP front
+end (and any other consumer) serves a started cluster with the same code
 that serves one process.
 
 Two sharding axes.  ``shard="keys"`` (everything above) splits the *query
@@ -82,7 +82,8 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import merge_metric_states
 from repro.query.aggregate_query import AggregateQuery
-from repro.serving.client import ExplanationClient
+from repro.serving.api import ExplanationClient
+from repro.serving.client import ClientView
 from repro.serving.service import ExplanationService, ServedExplanation
 from repro.storage import MetaStore
 from repro.table.expressions import stable_key_digest
@@ -139,6 +140,43 @@ def _worker_safe_config(config: Optional[MESAConfig]) -> MESAConfig:
     if config.parallel_backend != "thread":
         config = config.with_overrides(parallel_backend="thread")
     return config
+
+
+def _fold_stats(into: Dict[str, Any], snapshot: Mapping[str, Any],
+                occupancy: bool) -> None:
+    """Add one worker's stats snapshot into a merged view, in place.
+
+    Context counters and stage seconds sum and dataset versions take the
+    maximum; the cache and negative-cache tallies (hits, misses,
+    evictions, expirations, sweeps) sum.  ``occupancy`` also sums the
+    point-in-time cache sizes, overall and per dataset: a live merge
+    wants them, the base kept from dead workers must not.
+    """
+    for name, context in snapshot.get("contexts", {}).items():
+        merged = into["contexts"].setdefault(
+            name, {"counters": {}, "stage_seconds": {}, "dataset_version": 0})
+        for counter, value in context.get("counters", {}).items():
+            merged["counters"][counter] = \
+                merged["counters"].get(counter, 0) + value
+        for stage, seconds in context.get("stage_seconds", {}).items():
+            merged["stage_seconds"][stage] = round(
+                merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
+        merged["dataset_version"] = max(merged["dataset_version"],
+                                        context.get("dataset_version", 0))
+    fields = ("hits", "misses", "evictions", "expirations", "sweeps")
+    if occupancy:
+        fields = ("size",) + fields
+    for block in ("cache", "negative_cache"):
+        view = snapshot.get(block, {})
+        merged_view = into[block]
+        for field_name in fields:
+            if field_name in view or field_name in merged_view:
+                merged_view[field_name] = \
+                    merged_view.get(field_name, 0) + view.get(field_name, 0)
+        if occupancy:
+            for name, size in view.get("by_dataset", {}).items():
+                merged_view["by_dataset"][name] = \
+                    merged_view["by_dataset"].get(name, 0) + size
 
 
 def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
@@ -257,8 +295,11 @@ def _cluster_worker_main(conn, specs: Sequence[DatasetSpec],
         conn.close()
 
 
-class ServiceCluster:
+class ServiceCluster(ExplanationClient):
     """N worker processes serving one dataset set, sharded by query key.
+
+    A started cluster is an :class:`~repro.serving.api.ExplanationClient`;
+    serve it directly.
 
     Parameters
     ----------
@@ -623,11 +664,7 @@ class ServiceCluster:
             self._meta.close()
 
     def __enter__(self) -> "ServiceCluster":
-        self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        return self.start()
 
     # ------------------------------------------------------------------ #
     # routing
@@ -913,43 +950,20 @@ class ServiceCluster:
         # the merged lifetime counters would move backwards.
         with self._lock:
             base = copy.deepcopy(self._stats_base)
-        merged_contexts: Dict[str, Dict[str, Any]] = {}
-        cache = {"size": 0, "hits": 0, "misses": 0, "by_dataset": {},
-                 "by_worker": {}}
-        negative = {"size": 0, "hits": 0, "misses": 0, "by_dataset": {},
-                    "by_worker": {}}
+        totals: Dict[str, Any] = {"contexts": {}}
+        for block in ("cache", "negative_cache"):
+            totals[block] = {"size": 0, "hits": 0, "misses": 0,
+                             "by_dataset": {}, "by_worker": {}}
+        _fold_stats(totals, base, occupancy=True)
         metric_states: List[List[Dict[str, Any]]] = [base.get("metrics", [])]
-        for worker_id, snapshot in [(None, base)] + list(workers.items()):
+        for worker_id, snapshot in workers.items():
             if "error" in snapshot:
                 continue
-            for name, context in snapshot.get("contexts", {}).items():
-                merged = merged_contexts.setdefault(
-                    name, {"counters": {}, "stage_seconds": {},
-                           "dataset_version": 0})
-                for counter, value in context.get("counters", {}).items():
-                    merged["counters"][counter] = \
-                        merged["counters"].get(counter, 0) + value
-                for stage, seconds in context.get("stage_seconds", {}).items():
-                    merged["stage_seconds"][stage] = round(
-                        merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
-                merged["dataset_version"] = max(
-                    merged["dataset_version"],
-                    context.get("dataset_version", 0))
-            for view, merged_view in ((snapshot.get("cache", {}), cache),
-                                      (snapshot.get("negative_cache", {}),
-                                       negative)):
-                for field_name in ("size", "hits", "misses", "evictions",
-                                   "expirations", "sweeps"):
-                    if field_name in view or field_name in merged_view:
-                        merged_view[field_name] = \
-                            merged_view.get(field_name, 0) + \
-                            view.get(field_name, 0)
-                for name, size in view.get("by_dataset", {}).items():
-                    merged_view["by_dataset"][name] = \
-                        merged_view["by_dataset"].get(name, 0) + size
-                if worker_id is not None:
-                    merged_view["by_worker"][worker_id] = view.get("size", 0)
-            if worker_id is not None and snapshot.get("metrics"):
+            _fold_stats(totals, snapshot, occupancy=True)
+            for block in ("cache", "negative_cache"):
+                totals[block]["by_worker"][worker_id] = \
+                    snapshot.get(block, {}).get("size", 0)
+            if snapshot.get("metrics"):
                 metric_states.append(snapshot["metrics"])
         merged_metrics = merge_metric_states(metric_states)
         with self._lock:
@@ -973,9 +987,9 @@ class ServiceCluster:
             "shard": "keys",
             "datasets": sorted(spec.name for spec in self._specs),
             "cluster": front,
-            "cache": cache,
-            "negative_cache": negative,
-            "contexts": merged_contexts,
+            "cache": totals["cache"],
+            "negative_cache": totals["negative_cache"],
+            "contexts": totals["contexts"],
             "metrics": merged_metrics,
             "frame_store": self._frame_store_stats(),
             "workers": workers,
@@ -1297,6 +1311,11 @@ class ServiceCluster:
         if self._closed:
             raise ConfigurationError("ServiceCluster is closed")
 
+    def _job_manager(self):
+        if self.jobs is None:
+            raise self._no_jobs()
+        return self.jobs
+
     def _dispatch(self, index: int, op: str, payload) -> Any:
         """Route an op to a worker; on a dead worker, restart and retry once."""
         return self.worker_pool.call(index, op, payload)
@@ -1317,29 +1336,7 @@ class ServiceCluster:
             return
         with self._lock:
             base = self._stats_base
-            for name, context in snapshot.get("contexts", {}).items():
-                merged = base["contexts"].setdefault(
-                    name, {"counters": {}, "stage_seconds": {},
-                           "dataset_version": 0})
-                for counter, value in context.get("counters", {}).items():
-                    merged["counters"][counter] = \
-                        merged["counters"].get(counter, 0) + value
-                for stage, seconds in context.get("stage_seconds",
-                                                  {}).items():
-                    merged["stage_seconds"][stage] = round(
-                        merged["stage_seconds"].get(stage, 0.0) + seconds, 6)
-                merged["dataset_version"] = max(
-                    merged["dataset_version"],
-                    context.get("dataset_version", 0))
-            for block in ("cache", "negative_cache"):
-                view = snapshot.get(block, {})
-                merged_view = base[block]
-                for field_name in ("hits", "misses", "evictions",
-                                   "expirations", "sweeps"):
-                    if field_name in view or field_name in merged_view:
-                        merged_view[field_name] = \
-                            merged_view.get(field_name, 0) + \
-                            view.get(field_name, 0)
+            _fold_stats(base, snapshot, occupancy=False)
             monotonic = [entry for entry in snapshot.get("metrics", [])
                          if entry.get("type") in ("counter", "histogram")]
             if monotonic:
@@ -1415,72 +1412,12 @@ class ServiceCluster:
             entry[2] += 1
 
 
-class ClusterClient(ExplanationClient):
-    """The :class:`ExplanationClient` face of a :class:`ServiceCluster`.
+class ClusterClient(ClientView):
+    """A view of one :class:`ServiceCluster`; starts it if needed."""
 
-    Starts the cluster if needed; ``close()`` shuts the workers down
-    unless ``close_cluster=False`` (a cluster shared with other views).
-    """
-
-    def __init__(self, cluster: ServiceCluster, close_cluster: bool = True):
-        self.cluster = cluster.start()
-        self._close_cluster = close_cluster
+    def __init__(self, cluster: ServiceCluster):
+        self.cluster = self._backend = cluster.start()
 
     def explain(self, dataset: str, query: AggregateQuery,
                 k: Optional[int] = None) -> ServedExplanation:
         return self.cluster.explain(dataset, query, k=k)
-
-    def explain_batch(self, dataset: str, queries: Sequence[AggregateQuery],
-                      k: Optional[int] = None) -> List[ServedExplanation]:
-        return self.cluster.explain_batch(dataset, queries, k=k)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.cluster.stats()
-
-    def warm(self, dataset: str, queries: Optional[Sequence] = None,
-             top: int = 8) -> int:
-        return self.cluster.warm(dataset, queries=queries, top=top)
-
-    def clear_cache(self) -> None:
-        self.cluster.clear_cache()
-
-    def health(self) -> Dict[str, Any]:
-        return self.cluster.health()
-
-    def datasets(self) -> List[str]:
-        return self.cluster.datasets()
-
-    def _jobs(self):
-        if self.cluster.jobs is None:
-            raise self._no_jobs()
-        return self.cluster.jobs
-
-    def submit_job(self, dataset: str, kind: str = "explain_batch",
-                   queries: Optional[Sequence] = None,
-                   k: Optional[int] = None, top: int = 8) -> str:
-        return self._jobs().submit(dataset, kind=kind, queries=queries,
-                                   k=k, top=top)
-
-    def job_status(self, job_id: str,
-                   include_result: bool = False) -> Dict[str, Any]:
-        return self._jobs().status(job_id, include_result=include_result)
-
-    def wait_job(self, job_id: str, timeout: Optional[float] = None,
-                 poll_seconds: float = 0.02) -> Dict[str, Any]:
-        return self._jobs().wait(job_id, timeout=timeout,
-                                 poll_seconds=poll_seconds)
-
-    def cancel_job(self, job_id: str) -> Dict[str, Any]:
-        return self._jobs().cancel(job_id)
-
-    def list_jobs(self, dataset: Optional[str] = None,
-                  limit: int = 100) -> List[Dict[str, Any]]:
-        return self._jobs().list_jobs(dataset, limit)
-
-    def append_rows(self, dataset: str, rows: Sequence[Mapping],
-                    rewarm: bool = True, top: int = 8) -> Dict[str, Any]:
-        return self.cluster.append_rows(dataset, rows, rewarm=rewarm, top=top)
-
-    def close(self) -> None:
-        if self._close_cluster:
-            self.cluster.close()

@@ -6,12 +6,11 @@ which is exactly the traffic shape the serving layer is built for: threads
 hit the explanation caches concurrently and the backend coalesces misses.
 
 The handler is written against the transport-agnostic
-:class:`~repro.serving.client.ExplanationClient` protocol, *not* a concrete
+:class:`~repro.serving.api.ExplanationClient` protocol, *not* a concrete
 service: hand :func:`make_server` an in-process
-:class:`~repro.serving.service.ExplanationService` (wrapped in a
-:class:`~repro.serving.client.LocalClient` automatically) or a
-:class:`~repro.serving.cluster.ClusterClient` over N worker processes and
-the same handler code serves every topology —
+:class:`~repro.serving.service.ExplanationService` or a started
+:class:`~repro.serving.cluster.ServiceCluster` of N worker processes
+(both are clients) and the same handler code serves every topology —
 ``python -m repro.serving --workers N`` is exactly that switch.  The
 cluster itself shards on either axis (``--shard keys`` replicates data and
 routes requests; ``--shard rows`` splits each table into row ranges and
@@ -88,7 +87,7 @@ import json
 import logging
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
 from urllib.parse import parse_qs
@@ -104,7 +103,7 @@ from repro.exceptions import (
 from repro.obs import trace
 from repro.obs.logs import log_slow_query
 from repro.obs.metrics import prometheus_text
-from repro.serving.client import ExplanationClient, LocalClient
+from repro.serving.api import ExplanationClient
 from repro.serving.schema import (
     API_SCHEMA_VERSION,
     AppendRowsRequest,
@@ -147,7 +146,7 @@ def _served_to_dict(served: ServedExplanation,
 
 
 class ExplanationRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the server's :class:`ExplanationService`."""
+    """Routes HTTP requests onto the server's :class:`ExplanationClient`."""
 
     server_version = f"repro-serving/{__version__}"
     protocol_version = "HTTP/1.1"
@@ -439,22 +438,14 @@ class ExplanationRequestHandler(BaseHTTPRequestHandler):
 
 
 class ExplanationHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`ExplanationClient`.
-
-    A bare :class:`ExplanationService` is accepted too (wrapped in a
-    :class:`LocalClient`), so existing single-process deployments keep
-    working unchanged.
-    """
+    """A threading HTTP server bound to one :class:`ExplanationClient`."""
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int],
-                 backend: Union[ExplanationClient, ExplanationService],
+    def __init__(self, address: Tuple[str, int], backend: ExplanationClient,
                  quiet: bool = True,
                  slow_query_seconds: Optional[float] = 1.0):
         super().__init__(address, ExplanationRequestHandler)
-        if isinstance(backend, ExplanationService):
-            backend = LocalClient(backend)
         self.client: ExplanationClient = backend
         self.quiet = quiet
         #: Requests slower than this many seconds are written to the
@@ -472,11 +463,16 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
 
     @property
     def service(self) -> Optional[ExplanationService]:
-        """The in-process service, when the backend is local (else None)."""
-        return getattr(self.client, "service", None)
+        """The in-process service behind the backend (else None).
+
+        The backend itself, or the service a
+        :class:`~repro.serving.client.LocalClient` view wraps.
+        """
+        backend = getattr(self.client, "service", self.client)
+        return backend if isinstance(backend, ExplanationService) else None
 
 
-def make_server(backend: Union[ExplanationClient, ExplanationService],
+def make_server(backend: ExplanationClient,
                 host: str = "127.0.0.1", port: int = 8080,
                 quiet: bool = True,
                 slow_query_seconds: Optional[float] = 1.0) -> ExplanationHTTPServer:
@@ -485,7 +481,7 @@ def make_server(backend: Union[ExplanationClient, ExplanationService],
                                  slow_query_seconds=slow_query_seconds)
 
 
-def serve_forever(backend: Union[ExplanationClient, ExplanationService],
+def serve_forever(backend: ExplanationClient,
                   host: str = "127.0.0.1", port: int = 8080,
                   quiet: bool = False,
                   slow_query_seconds: Optional[float] = 1.0,

@@ -61,6 +61,7 @@ from repro.obs import trace
 from repro.obs.logs import log_slow_query
 from repro.obs.metrics import MetricsRegistry, process_maxrss_kb
 from repro.query.aggregate_query import AggregateQuery
+from repro.serving.api import ExplanationClient
 from repro.serving.batcher import MicroBatcher
 from repro.serving.cache import TTLCache
 from repro.serving.schema import ExplainRequest, query_payload
@@ -98,8 +99,12 @@ class ServedExplanation:
     trace_id: Optional[str] = None
 
 
-class ExplanationService:
+class ExplanationService(ExplanationClient):
     """Serve explanations for registered datasets from warm caches.
+
+    The service is an :class:`~repro.serving.api.ExplanationClient`: the
+    HTTP front end and every other caller of the client API use it
+    directly.
 
     Parameters
     ----------
@@ -247,13 +252,15 @@ class ExplanationService:
         if self.jobs is not None:
             return self.jobs
         if self._meta is None:
-            raise ConfigurationError(
-                "jobs require a durable store: construct the service with "
-                "store=<path> (or pass --store to python -m repro.serving)")
+            raise self._no_jobs()
         from repro.jobs import JobManager  # deferred: avoids an import cycle
         self.jobs = JobManager(self._meta, self, tracer=self.tracer,
                                resume=resume)
         return self.jobs
+
+    def _job_manager(self):
+        """The job API's manager: :meth:`enable_jobs` on first use."""
+        return self.enable_jobs()
 
     # ------------------------------------------------------------------ #
     # dataset registration
@@ -334,7 +341,7 @@ class ExplanationService:
             bundle.name, bundle.table, bundle.knowledge_graph,
             bundle.extraction_specs, config=config, warm=warm)
 
-    def warm(self, name: str, queries: Optional[Sequence] = None,
+    def warm(self, dataset: str, queries: Optional[Sequence] = None,
              top: int = 8, background: bool = False,
              k: Optional[int] = None) -> int:
         """Build the dataset's cross-query artefacts and replay hot queries.
@@ -354,7 +361,7 @@ class ExplanationService:
         and the method returns the number of queries *scheduled*; otherwise
         it returns the number successfully replayed.
         """
-        pipeline = self.pipeline(name)
+        pipeline = self.pipeline(dataset)
         config = pipeline.config
         augmented = pipeline.context.augmented_table(config.hops)
         if config.use_offline_pruning:
@@ -369,7 +376,7 @@ class ExplanationService:
         if queries is not None:
             replay: List[Tuple] = [(query, k) for query in queries]
         else:
-            replay = self.top_queries(name, top)
+            replay = self.top_queries(dataset, top)
         if not replay:
             return 0
 
@@ -377,7 +384,7 @@ class ExplanationService:
             warmed = 0
             for query, replay_k in replay:
                 try:
-                    self.explain(name, query, k=replay_k)
+                    self.explain(dataset, query, k=replay_k)
                     warmed += 1
                 except Exception:
                     continue
@@ -386,7 +393,7 @@ class ExplanationService:
 
         if background:
             thread = threading.Thread(target=run_replay,
-                                      name=f"repro-serving-warmer-{name}",
+                                      name=f"repro-serving-warmer-{dataset}",
                                       daemon=True)
             self.last_warmer = thread
             thread.start()
@@ -459,7 +466,7 @@ class ExplanationService:
     # ------------------------------------------------------------------ #
     # live dataset updates
     # ------------------------------------------------------------------ #
-    def append_rows(self, name: str, rows: Sequence[Mapping],
+    def append_rows(self, dataset: str, rows: Sequence[Mapping],
                     rewarm: bool = True, top: int = 8) -> Dict[str, object]:
         """Append rows to a registered dataset, invalidating coherently.
 
@@ -479,13 +486,13 @@ class ExplanationService:
         if not rows:
             raise QueryError("append_rows requires a non-empty list of "
                              "row mappings")
-        pipeline = self.pipeline(name)
+        pipeline = self.pipeline(dataset)
         table = pipeline.context.table
         extra = Table.from_rows(list(rows),
                                 columns=list(table.column_names),
                                 name=table.name)
         merged = table.concat_rows(extra)
-        return self.replace_table(name, merged, rewarm=rewarm, top=top,
+        return self.replace_table(dataset, merged, rewarm=rewarm, top=top,
                                   appended=len(rows))
 
     def replace_table(self, name: str, table: Table, rewarm: bool = True,
@@ -882,12 +889,6 @@ class ExplanationService:
             self._meta.flush()
             if self._owns_meta:
                 self._meta.close()
-
-    def __enter__(self) -> "ExplanationService":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
     # internals

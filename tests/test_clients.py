@@ -1,10 +1,10 @@
 """Tests for the transport-agnostic client API and the serving cluster.
 
 The heart of this file is the **shared contract suite**: one set of tests
-parametrized over all three :class:`~repro.serving.client.ExplanationClient`
-implementations (local service, HTTP, sharded cluster), asserting the same
-behaviour — and byte-identical canonical envelopes — regardless of
-transport.  Cluster-specific behaviour (stable routing, merged stats,
+parametrized over every :class:`~repro.serving.api.ExplanationClient` — the
+bare in-process service, the started cluster, HTTP, and the two views
+(``LocalClient``, ``ClusterClient``) — asserting the same behaviour — and
+byte-identical canonical envelopes — regardless of transport.  Cluster-specific behaviour (stable routing, merged stats,
 worker restart with request retry, coherent cross-process invalidation)
 and the serving-path defaults (permutation early exit) are covered below.
 """
@@ -30,6 +30,7 @@ from repro.mesa.config import MESAConfig
 from repro.query.aggregate_query import AggregateQuery
 from repro.serving import (
     ClusterClient,
+    ExplanationClient,
     ExplanationService,
     HTTPClient,
     LocalClient,
@@ -95,9 +96,29 @@ def cluster_client(covid_bundle):
         yield client
 
 
-@pytest.fixture(params=["local_client", "http_client", "cluster_client"])
+@pytest.fixture(scope="module")
+def bare_service(covid_bundle):
+    service = ExplanationService(coalesce_window_seconds=0.0)
+    service.register_bundle(covid_bundle, config=_config(covid_bundle))
+    with service:
+        yield service
+
+
+@pytest.fixture(scope="module")
+def bare_cluster(covid_bundle):
+    cluster = ServiceCluster(n_workers=2)
+    cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
+    with cluster:  # starts the workers
+        yield cluster
+
+
+CLIENTS = ["bare_service", "bare_cluster", "local_client", "http_client",
+           "cluster_client"]
+
+
+@pytest.fixture(params=CLIENTS)
 def client(request):
-    """Every ExplanationClient implementation, one at a time."""
+    """Every ExplanationClient, one at a time."""
     return request.getfixturevalue(request.param)
 
 
@@ -173,9 +194,9 @@ class TestClientContract:
 
 class TestCrossClientEquality:
     def test_all_transports_serve_identical_envelopes(
-            self, local_client, http_client, cluster_client, covid_bundle,
-            covid_queries):
-        """The acceptance bar: three transports, one truth.
+            self, bare_service, bare_cluster, local_client, http_client,
+            cluster_client, covid_bundle, covid_queries):
+        """The acceptance bar: five clients, one truth.
 
         Every client serves canonically byte-identical envelopes for
         identical queries, and each equals a fresh single-engine run with
@@ -190,11 +211,57 @@ class TestCrossClientEquality:
             direct = fresh.explain(query, k=3).to_envelope().canonical_json()
             payloads = {
                 name: one.explain(DATASET, query, k=3).envelope.canonical_json()
-                for name, one in (("local", local_client),
+                for name, one in (("service", bare_service),
+                                  ("cluster", bare_cluster),
+                                  ("local", local_client),
                                   ("http", http_client),
-                                  ("cluster", cluster_client))}
-            assert payloads["local"] == payloads["http"] == \
-                payloads["cluster"] == direct
+                                  ("cluster view", cluster_client))}
+            assert set(payloads.values()) == {direct}, payloads.keys()
+
+    def test_service_and_cluster_are_clients(self, bare_service,
+                                             bare_cluster):
+        assert isinstance(bare_service, ExplanationClient)
+        assert isinstance(bare_cluster, ExplanationClient)
+
+    def test_http_server_tracer_follows_the_backend(
+            self, bare_service, bare_cluster, local_client, cluster_client):
+        """An in-process service's own tracer, bare or in a view; else a
+        front tracer of the server's own."""
+        for backend, service in ((bare_service, bare_service),
+                                 (local_client, local_client.service),
+                                 (bare_cluster, None),
+                                 (cluster_client, None)):
+            server = make_server(backend, port=0)
+            try:
+                assert server.service is service
+                if service is None:
+                    assert server.tracer.tier == "front"
+                else:
+                    assert server.tracer is service.tracer
+            finally:
+                server.server_close()
+
+
+_JOB_CALLS = {
+    "submit_job": lambda client: client.submit_job(DATASET, kind="warm"),
+    "job_status": lambda client: client.job_status("no-such-job"),
+    "wait_job": lambda client: client.wait_job("no-such-job", timeout=1.0),
+    "cancel_job": lambda client: client.cancel_job("no-such-job"),
+    "list_jobs": lambda client: client.list_jobs(),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_JOB_CALLS))
+def test_job_api_without_store_raises_the_same_error(client, method):
+    """No store: every client refuses every job call with one message.
+
+    In-process that is ``ConfigurationError``; over HTTP the server
+    answers 400, which :class:`HTTPClient` raises as ``QueryError``.
+    """
+    expected = QueryError if isinstance(client, HTTPClient) \
+        else ConfigurationError
+    with pytest.raises(expected, match="no durable job store"):
+        _JOB_CALLS[method](client)
 
 
 # --------------------------------------------------------------------------- #
@@ -442,8 +509,7 @@ class TestHTTPOverCluster:
                                                       covid_queries):
         cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
         cluster.register_bundle(covid_bundle, config=_config(covid_bundle))
-        client = ClusterClient(cluster)
-        server = make_server(client, port=0)
+        server = make_server(cluster.start(), port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -473,7 +539,7 @@ class TestHTTPOverCluster:
         finally:
             server.shutdown()
             server.server_close()
-            client.close()
+            cluster.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -275,6 +275,16 @@ class TestMetrics:
         # Histogram buckets are cumulative and end at +Inf == _count.
         assert 'le="+Inf"' in text
 
+    def test_prometheus_text_exports_cluster_fault_counters(self):
+        text = prometheus_text({"cluster": {
+            "n_workers": 2, "worker_restarts": 3, "request_retries": 2,
+            "replay_failures": 1, "data_plane": {"broadcast_failures": 4}}})
+        for line in ("repro_cluster_worker_restarts_total 3",
+                     "repro_cluster_request_retries_total 2",
+                     "repro_cluster_replay_failures_total 1",
+                     "repro_cluster_broadcast_failures_total 4"):
+            assert line in text.splitlines()
+
 
 # --------------------------------------------------------------------------- #
 # structured logs
@@ -548,6 +558,9 @@ class TestClusterObservability:
             # Point-in-time occupancy reflects only the live worker.
             assert after["cache"]["size"] == 1
             assert after["contexts"][DATASET]["stage_seconds"]
+            # The restart reaches /metrics under the stats key's name.
+            assert "repro_cluster_worker_restarts_total 1" in \
+                prometheus_text(after)
 
     def test_cluster_stats_merge_worker_metrics(self, covid_bundle):
         cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
@@ -577,8 +590,7 @@ class TestCrossProcessTrace:
         cluster = ServiceCluster(n_workers=2, shard="rows")
         cluster.register_bundle(covid_bundle, config=_config(covid_bundle),
                                 warm=False)
-        client = ClusterClient(cluster)
-        server = make_server(client, port=0)
+        server = make_server(cluster.start(), port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -616,7 +628,7 @@ class TestCrossProcessTrace:
         finally:
             server.shutdown()
             server.server_close()
-            client.close()
+            cluster.close()
 
     def test_keys_cluster_explain_stitches_worker_spans(self, covid_bundle):
         cluster = ServiceCluster(n_workers=2, restart_warm_top=0)
